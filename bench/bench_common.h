@@ -135,4 +135,36 @@ inline std::vector<RangeQuery> default_queries(const Grid& grid, const Setup& s,
   return out;
 }
 
+/// The paper's §6 overlay budget (~2,560 B/node/cycle), gated twice on one
+/// run: the delta-coded traffic actually sent must land at least 25% under
+/// it, and that traffic plus the wire.bytes_delta_saved meter (what the
+/// paper's plain descriptor-list layout would have cost) must reconcile to
+/// within +-15% of it. `label` names the backend in the printed verdicts.
+inline bool check_gossip_budget(const std::string& label, double wire_bpc,
+                                double paper_bpc) {
+  constexpr double kBudget = 2560.0;
+  bool ok = true;
+  const double cap = kBudget * 0.75;
+  if (wire_bpc > cap) {
+    std::cerr << "FAIL" << label << ": " << wire_bpc
+              << " bytes/node/cycle on the wire above the 25%-reduction cap "
+              << cap << "\n";
+    ok = false;
+  } else {
+    std::cout << "wire budget check" << label << ": " << exp::fmt(wire_bpc)
+              << " <= " << cap << " OK\n";
+  }
+  const double lo = kBudget * 0.85, hi = kBudget * 1.15;
+  if (paper_bpc < lo || paper_bpc > hi) {
+    std::cerr << "FAIL" << label << ": paper layout " << paper_bpc
+              << " bytes/node/cycle outside paper budget [" << lo << ", " << hi
+              << "]\n";
+    ok = false;
+  } else {
+    std::cout << "paper budget check" << label << ": " << exp::fmt(paper_bpc)
+              << " in [" << lo << ", " << hi << "] OK\n";
+  }
+  return ok;
+}
+
 }  // namespace ares::bench

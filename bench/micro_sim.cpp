@@ -3,11 +3,8 @@
 /// Three measurements, each reported as ns/op and allocations/op in
 /// BENCH_micro_sim.json:
 ///
-///   1. event queue push/pop throughput — the current small-buffer
-///      EventQueue vs an in-binary replica of the pre-overhaul queue
-///      (std::priority_queue of std::function events). A 32-byte capture
-///      exceeds std::function's inline buffer, so the legacy queue heap
-///      allocates per event while UniqueAction stores it inline.
+///   1. event queue push/pop throughput — the small-buffer EventQueue with
+///      a 32-byte capture, which UniqueAction stores inline.
 ///   2. message delivery steady state — a two-node ping-pong through the
 ///      full Simulator/Network/latency/stats stack with a pooled message
 ///      type. The process-wide operator new counter must show ZERO
@@ -21,10 +18,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <new>
-#include <queue>
 #include <vector>
 
 #include "common/options.h"
@@ -69,46 +64,18 @@ using Clock = std::chrono::steady_clock;
 
 std::uint64_t sink = 0;  // defeats dead-code elimination
 
-/// Replica of the pre-overhaul event queue: std::function actions in a
-/// std::priority_queue. Kept here (not in src/) purely as the baseline.
-class LegacyQueue {
- public:
-  void push(SimTime t, std::function<void()> action) {
-    q_.push(Event{t, next_seq_++, std::move(action)});
-  }
-  std::function<void()> pop() {
-    auto a = std::move(const_cast<Event&>(q_.top()).action);
-    q_.pop();
-    return a;
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;
-    std::function<void()> action;
-    bool operator<(const Event& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
-  };
-  std::priority_queue<Event> q_;
-  std::uint64_t next_seq_ = 0;
-};
-
 struct MicroResult {
   double ns_per_op = 0.0;
   double allocs_per_op = 0.0;
 };
 
-/// Push+pop throughput with a 32-byte capture (beyond std::function's
-/// 16-byte inline buffer, within UniqueAction's 48).
-template <typename Queue>
+/// Push+pop throughput with a 32-byte capture (within UniqueAction's
+/// 48-byte inline buffer).
 MicroResult bench_queue(std::uint64_t ops) {
   struct Payload {
     std::uint64_t a, b, c, d;
   };
-  Queue q;
+  EventQueue q;
   // Schedule times are precomputed so the timed loop measures queue work,
   // not the random-number generator.
   Rng rng(1);
@@ -282,13 +249,10 @@ int main() {
   exp::BenchReport report("micro_sim");
   report.set_threads(1);
 
-  auto legacy = bench_queue<LegacyQueue>(ops);
-  auto current = bench_queue<EventQueue>(ops);
+  auto queue = bench_queue(ops);
   auto delivery = bench_delivery(std::max<std::uint64_t>(ops / 5, 10'000));
   auto vicinity = bench_vicinity(std::max<std::uint64_t>(ops / 50, 1'000));
   PingMsg::drain_pool();
-
-  const double speedup = legacy.ns_per_op / current.ns_per_op;
 
   exp::Table t({"benchmark", "ns/op", "allocs/op"});
   auto add = [&](const char* name, const MicroResult& r) {
@@ -298,27 +262,22 @@ int main() {
         .num("ns_per_op", r.ns_per_op)
         .num("allocs_per_op", r.allocs_per_op);
   };
-  add("event queue push+pop (legacy std::function)", legacy);
-  add("event queue push+pop (UniqueAction)", current);
+  add("event queue push+pop (UniqueAction)", queue);
   add("message delivery (pooled msg, full stack)", delivery);
   add("vicinity exchange (subset_for + select_best)", vicinity);
   t.print();
-  std::cout << "event queue speedup vs legacy: " << exp::fmt(speedup, 2)
-            << "x\n";
 
-  // Total measured iterations across the four benchmarks: events_per_sec in
+  // Total measured iterations across the three benchmarks: events_per_sec in
   // the report falls back to this op rate (no simulator runs here).
-  report.add_ops(2 * ops + std::max<std::uint64_t>(ops / 5, 10'000) +
+  report.add_ops(ops + std::max<std::uint64_t>(ops / 5, 10'000) +
                  std::max<std::uint64_t>(ops / 50, 1'000));
   report.summary()
-      .num("event_queue_speedup", speedup)
       .num("steady_state_allocs_per_delivery", delivery.allocs_per_op)
       .num("ops", ops);
   report.write();
 
-  // Regression gate: the delivery path must not allocate once warm. The
-  // throughput ratio is reported, not gated (wall-clock ratios are noisy on
-  // shared CI machines; allocation counts are exact).
+  // Regression gate: the delivery path must not allocate once warm
+  // (allocation counts are exact; wall-clock times are only reported).
   if (delivery.allocs_per_op != 0.0) {
     std::cout << "FAIL: steady-state delivery performed "
               << exp::fmt(delivery.allocs_per_op, 4)

@@ -1,7 +1,5 @@
 #include "exp/bench_json.h"
 
-#include "runtime/wire.h"
-
 #include <sys/resource.h>
 
 #if defined(__GLIBC__)
@@ -108,11 +106,7 @@ std::uint64_t peak_rss_bytes() {
 }
 
 BenchReport::BenchReport(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
-  // Every report states the wire mode it ran under; benches that toggle the
-  // mode themselves can override via set_wire_delta().
-  wire_delta_ = wire::delta_enabled();
-}
+    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
 
 JsonObject& BenchReport::point() {
   points_.emplace_back();
@@ -142,7 +136,7 @@ bool BenchReport::write() {
     out += "  " + rendered + (last ? "\n" : ",\n");
   };
   field(json_quote("name") + ": " + json_quote(name_));
-  field(json_quote("schema_version") + ": 4");
+  field(json_quote("schema_version") + ": 5");
   field(json_quote("threads") + ": " + std::to_string(threads_));
   field(json_quote("shards") + ": " + std::to_string(shards_));
   field(json_quote("backend") + ": " + json_quote(backend_));
@@ -150,7 +144,6 @@ bool BenchReport::write() {
   field(json_quote("fault_loss") + ": " + render_double(fault_loss_));
   field(json_quote("fault_delay_min_ms") + ": " + render_double(fault_delay_min_ms_));
   field(json_quote("fault_delay_max_ms") + ": " + render_double(fault_delay_max_ms_));
-  field(json_quote("wire_delta") + ": " + (wire_delta_ ? "true" : "false"));
   field(json_quote("wall_clock_s") + ": " + render_double(wall));
   field(json_quote("sim_events") + ": " + std::to_string(events_));
   field(json_quote("late_events") + ": " + std::to_string(late_));

@@ -9,7 +9,7 @@
 ///
 ///   {
 ///     "name": "fig06_network_size",
-///     "schema_version": 4,
+///     "schema_version": 5,
 ///     "threads": 8,                  // worker threads used for the sweep
 ///     "shards": 0,                   // ARES_SHARDS (0 = classic event loop)
 ///     "backend": "sim",              // "sim" (in-process event loop) or
@@ -18,8 +18,6 @@
 ///     "fault_loss": 0.0,             // injected datagram loss probability
 ///     "fault_delay_min_ms": 0.0,     // injected extra latency window
 ///     "fault_delay_max_ms": 0.0,
-///     "wire_delta": false,           // ARES_WIRE_DELTA: delta-compressed
-///                                    // descriptor gossip on the wire
 ///     "wall_clock_s": 12.34,         // whole-binary wall clock
 ///     "sim_events": 123456,          // executed simulator events, all trials
 ///     "late_events": 0,              // Simulator::late_events(), all trials
@@ -41,9 +39,9 @@
 /// every report states which runtime executed it (in-process simulation vs
 /// real processes over UDP) and under what injected network conditions;
 /// sim-only binaries carry the defaults ("sim", 1, zeros).
-/// schema v3 -> v4: added "wire_delta" so compressed and uncompressed runs
-/// of the same bench are distinguishable in the perf trajectory (the byte
-/// counters measure what actually crossed the wire).
+/// schema v3 -> v4: added a flag naming which of two gossip encodings ran.
+/// schema v4 -> v5: dropped that flag again: gossip has a single encoding,
+/// so it no longer distinguishes runs.
 ///
 /// The output directory is ARES_BENCH_DIR when set, else the working
 /// directory. The report is written by write() — call it once, after all
@@ -118,9 +116,6 @@ class BenchReport {
     fault_delay_max_ms_ = delay_max_ms;
   }
 
-  /// Records whether delta descriptor encoding was on the wire for the run.
-  void set_wire_delta(bool on) { wire_delta_ = on; }
-
   std::uint64_t sim_events() const { return events_; }
   std::uint64_t late_events() const { return late_; }
 
@@ -142,7 +137,6 @@ class BenchReport {
   double fault_loss_ = 0.0;
   double fault_delay_min_ms_ = 0.0;
   double fault_delay_max_ms_ = 0.0;
-  bool wire_delta_ = false;
   std::uint64_t events_ = 0;
   std::uint64_t late_ = 0;
   std::uint64_t ops_ = 0;

@@ -81,13 +81,13 @@ struct BackendRun {
   std::uint64_t tx_frames = 0;       // udp only (frames handed to the socket)
   std::uint64_t tx_syscalls = 0;     // udp only (send-side kernel entries)
   std::uint64_t rx_syscalls = 0;     // udp only (recv-side kernel entries)
-  /// wire.bytes_delta_saved total: legacy-minus-delta frame bytes when
-  /// ARES_WIRE_DELTA is on (0 otherwise). Both backends fill this.
+  /// wire.bytes_delta_saved total: the paper's plain descriptor-list layout
+  /// minus the delta-coded frames sent. Both backends fill this.
   std::uint64_t bytes_delta_saved = 0;
 
   /// Gossip traffic (cyclon.* + vicinity.* frame bytes) per node-cycle —
   /// the figure gossip_cost gates against the paper's ~2,560 B budget.
-  /// Counts bytes as sent (delta-compressed when delta mode is on).
+  /// Counts the delta-coded bytes as sent.
   double bytes_per_node_cycle() const;
 
   /// Average protocol frames per transmitted datagram (udp only; 1.0 when

@@ -7,7 +7,7 @@
 ///
 ///   offset  size  field
 ///        0     2  magic        0xA7E5, little-endian
-///        2     1  version      kVersion (1)
+///        2     1  version      kVersion (2)
 ///        3     1  flags        bit 0 = coalesced payload; other bits
 ///                              reserved, must be 0 (receivers reject)
 ///        4     4  src NodeId   little-endian
@@ -16,7 +16,7 @@
 ///       14     .  payload      see below
 ///
 /// With flags bit 0 clear the payload is one wire::encode() frame (kind tag
-/// + body) — the v1 format, unchanged. With bit 0 set (kFlagCoalesced) the
+/// + body). With bit 0 set (kFlagCoalesced) the
 /// payload is a sequence of length-prefixed sub-frames, each its own
 /// (src, dst, frame) triple:
 ///
@@ -51,7 +51,10 @@
 namespace ares::net {
 
 inline constexpr std::uint16_t kMagic = 0xA7E5;
-inline constexpr std::uint8_t kVersion = 1;
+/// Version 2: the four gossip kinds carry delta-coded descriptor lists
+/// under the same kind tags that carried the plain layout in version 1, so
+/// a version-1 frame could be misread; receivers reject it at the header.
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderSize = 14;
 
 /// Flags bit 0: the payload is a sequence of length-prefixed sub-frames

@@ -61,13 +61,11 @@ Node* UdpRuntime::find(NodeId id) {
 
 void UdpRuntime::send(NodeId from, NodeId to, MessagePtr m) {
   assert(m != nullptr);
-  // Bandwidth accounting for delta mode: what the legacy encoding would
-  // have cost minus what this frame costs, metered at the send boundary
-  // like the other backends.
-  if (wire::delta_enabled()) {
-    if (std::size_t saved = wire::delta_savings(*m); saved > 0)
-      metrics().inc(from, m_wire_bytes_saved_, saved);
-  }
+  // Paper-layout reconciliation, metered at the send boundary like the
+  // other backends: what the paper's descriptor-list layout would have
+  // added to this frame.
+  if (std::size_t saved = wire::paper_layout_savings(*m); saved > 0)
+    metrics().inc(from, m_wire_bytes_saved_, saved);
   // Frame-byte accounting first, mirroring the simulator: on_send() counts
   // wire_size() whether or not the datagram survives the trip.
   std::vector<std::uint8_t> frame = wire::encode(*m);

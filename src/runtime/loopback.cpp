@@ -36,10 +36,8 @@ Node* LoopbackRuntime::find(NodeId id) {
 
 void LoopbackRuntime::send(NodeId from, NodeId to, MessagePtr m) {
   assert(m != nullptr);
-  if (wire::delta_enabled()) {
-    if (std::size_t saved = wire::delta_savings(*m); saved > 0)
-      metrics().inc(from, "wire.bytes_delta_saved", saved);
-  }
+  if (std::size_t saved = wire::paper_layout_savings(*m); saved > 0)
+    metrics().inc(from, "wire.bytes_delta_saved", saved);
   if (wire::checked_delivery()) {
     // Wire-true mode (see runtime/wire.h): round-trip through the codec at
     // the boundary; undecodable frames are dropped and metered.

@@ -24,14 +24,11 @@
 /// send boundary, dropping undecodable frames and bumping the per-node
 /// "wire.decode_fail" / "wire.encode_fail" metrics instead of crashing.
 ///
-/// Delta encoding ("delta mode", ARES_WIRE_DELTA=1): kinds with a registered
-/// DeltaCodec additionally know a compressed frame form — an escape frame
-/// `[0x00][version][kind][delta body]` (0x00 is Kind::kInvalid, which no
-/// legacy codec ever claims, so v1 decoders reject delta frames cleanly as
-/// "no codec" and meter wire.decode_fail). When delta_enabled() is on the
-/// driver emits and accepts both forms; when off (the default) it emits and
-/// accepts only the legacy form, so golden frames and figure outputs are
-/// byte-identical to prior releases. See docs/PROTOCOL.md §"Delta frames".
+/// The four gossip kinds (CYCLON/Vicinity request+reply) carry their
+/// descriptor lists delta-coded against the first entry; the paper's plain
+/// descriptor-list layout survives only as a closed-form size, so the §6
+/// budget can still be reported next to the bytes actually sent
+/// (paper_layout_savings()). See docs/PROTOCOL.md §"Descriptor-list encoding".
 
 #include <algorithm>
 #include <cstdint>
@@ -271,62 +268,13 @@ void register_codec(Kind kind, const Codec& codec);
 /// protocol codecs are installed.
 const Codec* find_codec(Kind kind);
 
-// ---- delta codec registry ---------------------------------------------------
-
-/// First byte of a delta frame: the Kind::kInvalid tag, which no legacy
-/// codec registers, so pre-delta decoders reject delta traffic as "unknown
-/// kind" instead of misparsing it.
-inline constexpr std::uint8_t kDeltaEscape = 0x00;
-
-/// Delta frame format version (second byte). Bump when the delta body
-/// layout changes; decoders reject versions they do not know.
-inline constexpr std::uint8_t kDeltaVersion = 1;
-
-/// Compressed body codec for one Kind. Same contract as Codec, but the body
-/// follows the 3-byte escape prologue `[0x00][version][kind]` instead of the
-/// 1-byte legacy tag. A kind with a DeltaCodec MUST also keep its legacy
-/// Codec registered (enforced by the ares-lint `delta-codec` rule): the
-/// legacy form stays the default on-the-wire encoding and the only decode
-/// path when delta mode is off.
-struct DeltaCodec {
-  void (*encode_body)(const Message& m, Writer& w);
-  MessagePtr (*decode_body)(Reader& r, Kind kind);
-  std::size_t (*size_body)(const Message& m) = nullptr;
-};
-
-/// Registers `codec` as the delta form of `kind` (same thread-safety
-/// caveats as register_codec).
-void register_delta_codec(Kind kind, const DeltaCodec& codec);
-
-/// The delta codec registered for `kind`; nullptr when none.
-const DeltaCodec* find_delta_codec(Kind kind);
-
-/// True when the driver should emit (and accept) delta frames for kinds
-/// that have a DeltaCodec. Defaults to the ARES_WIRE_DELTA environment
-/// flag, read once; set_delta_enabled() overrides it (tests).
-bool delta_enabled();
-void set_delta_enabled(bool on);
-
-/// RAII test fixture helper: forces delta mode on (or off) for a scope,
-/// restoring the previous setting on destruction.
-class ScopedDeltaMode {
- public:
-  explicit ScopedDeltaMode(bool on) : prev_(delta_enabled()) {
-    set_delta_enabled(on);
-  }
-  ~ScopedDeltaMode() { set_delta_enabled(prev_); }
-  ScopedDeltaMode(const ScopedDeltaMode&) = delete;
-  ScopedDeltaMode& operator=(const ScopedDeltaMode&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Bytes the delta form of `m` saves over the legacy form (0 when delta
-/// mode is off, `m` has no delta codec, or delta would not shrink it).
-/// Backends accumulate this into the "wire.bytes_delta_saved" metric at the
-/// send boundary so benches can report compressed vs. uncompressed bytes.
-std::size_t delta_savings(const Message& m);
+/// Bytes the paper's plain descriptor-list layout of `m` would take beyond
+/// its actual frame (0 for kinds that carry no descriptor list). Reads the
+/// cached wire_size(), so metering it costs no second sizing pass. Backends
+/// accumulate this into the "wire.bytes_delta_saved" metric at the send
+/// boundary, so wire + saved reconciles to the paper's ~2,560 B/node/cycle.
+/// Defined in wire/codecs.cpp, next to the layout it measures.
+std::size_t paper_layout_savings(const Message& m);
 
 // ---- frame driver -----------------------------------------------------------
 
@@ -386,11 +334,6 @@ namespace detail {
 /// wire/codecs.cpp; referenced from the driver so the codec translation unit
 /// is always linked and registration can never be skipped.
 void register_builtin_codecs();
-
-/// Installs the delta codecs for the descriptor-carrying gossip kinds
-/// (CYCLON/Vicinity request+reply). Defined in wire/codecs.cpp; invoked
-/// from the same one-time driver hook as register_builtin_codecs().
-void register_builtin_delta_codecs();
 
 /// Private access to Message's cached frame length (the driver stamps it on
 /// decode/recode so sizes are measured exactly once per message).

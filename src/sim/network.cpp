@@ -99,14 +99,11 @@ Node* Network::find(NodeId id) {
 
 void Network::send(NodeId from, NodeId to, MessagePtr m) {
   assert(m != nullptr);
-  // Delta-mode bandwidth accounting: wire_size()/on_send already measure the
-  // compressed frame; this counter preserves the uncompressed-vs-compressed
-  // difference so benches can report both. No-op (and no sizing work) when
-  // delta mode is off.
-  if (wire::delta_enabled()) {
-    if (std::size_t saved = wire::delta_savings(*m); saved > 0)
-      metrics().inc(from, m_wire_bytes_saved_, saved);
-  }
+  // Paper-layout reconciliation: on_send counts the frame actually sent;
+  // this meters what the paper's descriptor-list layout would have added.
+  // Sizes the message once (wire_size() caches it for on_send).
+  if (std::size_t saved = wire::paper_layout_savings(*m); saved > 0)
+    metrics().inc(from, m_wire_bytes_saved_, saved);
   if (wire::checked_delivery()) {
     // Wire-true mode: the message crosses the boundary as codec bytes, the
     // way a socket backend would move it. Undecodable frames are dropped

@@ -56,20 +56,6 @@ bool get_descriptor(Reader& r, PeerDescriptor& d) {
   return get_point(r, d.values) && get_coord(r, d.coord) && r.ok();
 }
 
-void put_descriptors(Writer& w, const std::vector<PeerDescriptor>& v) {
-  w.varint(v.size());
-  for (const auto& d : v) put_descriptor(w, d);
-}
-
-bool get_descriptors(Reader& r, std::vector<PeerDescriptor>& v) {
-  std::uint64_t n = r.count(10);  // >= id(4) + age(4) + two counts
-  if (!r.ok()) return false;
-  v.resize(static_cast<std::size_t>(n));
-  for (auto& d : v)
-    if (!get_descriptor(r, d)) return false;
-  return true;
-}
-
 void put_query(Writer& w, const RangeQuery& q) {
   w.varint(static_cast<std::uint64_t>(q.dimensions()));
   for (int d = 0; d < q.dimensions(); ++d) {
@@ -159,6 +145,9 @@ std::size_t descriptor_size(const PeerDescriptor& d) {
   return 8 + point_size(d.values) + coord_size(d.coord);
 }
 
+// The paper's plain descriptor-list layout (a count, then every descriptor
+// in full). Never encoded: it is the yardstick the §6 budget of ~2,560
+// B/node/cycle is stated in (see paper_layout_savings()).
 std::size_t descriptors_size(const std::vector<PeerDescriptor>& v) {
   std::size_t n = varint_len(v.size());
   for (const auto& d : v) n += descriptor_size(d);
@@ -193,31 +182,10 @@ const std::vector<PeerDescriptor>& gossip_entries(const Message& m) {
              : static_cast<const VicinityExchangeMsg&>(m).entries;
 }
 
-void encode_gossip(const Message& m, Writer& w) {
-  put_descriptors(w, gossip_entries(m));
-}
-
-std::size_t size_gossip(const Message& m) {
-  return descriptors_size(gossip_entries(m));
-}
-
-MessagePtr decode_gossip(Reader& r, Kind kind) {
-  if (kind == Kind::kCyclonRequest || kind == Kind::kCyclonReply) {
-    auto m = std::make_unique<CyclonShuffleMsg>();
-    m->is_reply = kind == Kind::kCyclonReply;
-    if (!get_descriptors(r, m->entries)) return nullptr;
-    return m;
-  }
-  auto m = std::make_unique<VicinityExchangeMsg>();
-  m->is_reply = kind == Kind::kVicinityReply;
-  if (!get_descriptors(r, m->entries)) return nullptr;
-  return m;
-}
-
-// ---- delta gossip codec (ARES_WIRE_DELTA=1) -------------------------------
+// ---- gossip descriptor lists ----------------------------------------------
 //
-// Compressed form of the CYCLON/Vicinity descriptor lists (the ~95% of
-// gossip bytes). Entry 0 travels as a full legacy descriptor — the
+// The CYCLON/Vicinity descriptor lists (the ~95% of gossip bytes) are
+// delta-coded. Entry 0 travels as a full descriptor — the
 // per-exchange reference; every later entry carries zig-zag varint
 // *wrapping* deltas against it, with presence bitmaps so attribute values
 // and cell coordinates equal to the reference cost one bit instead of 8/4
@@ -225,7 +193,7 @@ MessagePtr decode_gossip(Reader& r, Kind kind) {
 // for every input, including adversarial extremes. An entry whose
 // dimensionality differs from the reference falls back to the full form
 // (flags=1), keeping the delta encoder total. Layout and rejection rules
-// are specified in docs/PROTOCOL.md §"Delta frames".
+// are specified in docs/PROTOCOL.md §"Descriptor-list encoding".
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -292,6 +260,8 @@ void put_delta_entry(Writer& w, const PeerDescriptor& ref,
       w.varint(zigzag(wrap_diff_u32(ref.coord[i], d.coord[i])));
 }
 
+// One pass per entry: each bitmap and the varints it selects are counted
+// together (this sits on the per-send sizing path).
 std::size_t delta_entry_size(const PeerDescriptor& ref,
                              const PeerDescriptor& d) {
   if (!delta_encodable(ref, d)) return 1 + descriptor_size(d);
@@ -299,19 +269,19 @@ std::size_t delta_entry_size(const PeerDescriptor& ref,
   n += varint_len(zigzag(wrap_diff_u32(ref.id, d.id)));
   n += varint_len(zigzag(wrap_diff_u32(ref.age, d.age)));
   std::uint64_t vbits = 0;
-  for (std::size_t i = 0; i < d.values.size(); ++i)
-    if (d.values[i] != ref.values[i]) vbits |= std::uint64_t{1} << i;
+  for (std::size_t i = 0; i < d.values.size(); ++i) {
+    if (d.values[i] == ref.values[i]) continue;
+    vbits |= std::uint64_t{1} << i;
+    n += varint_len(zigzag(wrap_diff_u64(ref.values[i], d.values[i])));
+  }
   n += varint_len(vbits);
-  for (std::size_t i = 0; i < d.values.size(); ++i)
-    if (vbits & (std::uint64_t{1} << i))
-      n += varint_len(zigzag(wrap_diff_u64(ref.values[i], d.values[i])));
   std::uint64_t cbits = 0;
-  for (std::size_t i = 0; i < d.coord.size(); ++i)
-    if (d.coord[i] != ref.coord[i]) cbits |= std::uint64_t{1} << i;
+  for (std::size_t i = 0; i < d.coord.size(); ++i) {
+    if (d.coord[i] == ref.coord[i]) continue;
+    cbits |= std::uint64_t{1} << i;
+    n += varint_len(zigzag(wrap_diff_u32(ref.coord[i], d.coord[i])));
+  }
   n += varint_len(cbits);
-  for (std::size_t i = 0; i < d.coord.size(); ++i)
-    if (cbits & (std::uint64_t{1} << i))
-      n += varint_len(zigzag(wrap_diff_u32(ref.coord[i], d.coord[i])));
   return n;
 }
 
@@ -371,23 +341,21 @@ bool get_delta_descriptors(Reader& r, std::vector<PeerDescriptor>& v) {
   return true;
 }
 
-void encode_gossip_delta(const Message& m, Writer& w) {
+void encode_gossip(const Message& m, Writer& w) {
   put_delta_descriptors(w, gossip_entries(m));
 }
 
-std::size_t size_gossip_delta(const Message& m) {
+std::size_t size_gossip(const Message& m) {
   return delta_descriptors_size(gossip_entries(m));
 }
 
-MessagePtr decode_gossip_delta(Reader& r, Kind kind) {
+MessagePtr decode_gossip(Reader& r, Kind kind) {
   if (kind == Kind::kCyclonRequest || kind == Kind::kCyclonReply) {
     auto m = std::make_unique<CyclonShuffleMsg>();
     m->is_reply = kind == Kind::kCyclonReply;
     if (!get_delta_descriptors(r, m->entries)) return nullptr;
     return m;
   }
-  if (kind != Kind::kVicinityRequest && kind != Kind::kVicinityReply)
-    return nullptr;
   auto m = std::make_unique<VicinityExchangeMsg>();
   m->is_reply = kind == Kind::kVicinityReply;
   if (!get_delta_descriptors(r, m->entries)) return nullptr;
@@ -624,17 +592,16 @@ void register_builtin_codecs() {
   register_codec(Kind::kSliceReply, slice);
 }
 
-void register_builtin_delta_codecs() {
-  // Only the descriptor-carrying gossip kinds have a compressed form; every
-  // kind registered here keeps its legacy register_codec() path above (the
-  // ares-lint `delta-codec` rule enforces the pairing).
-  const DeltaCodec gossip_delta{encode_gossip_delta, decode_gossip_delta,
-                                size_gossip_delta};
-  register_delta_codec(Kind::kCyclonRequest, gossip_delta);
-  register_delta_codec(Kind::kCyclonReply, gossip_delta);
-  register_delta_codec(Kind::kVicinityRequest, gossip_delta);
-  register_delta_codec(Kind::kVicinityReply, gossip_delta);
+}  // namespace detail
+
+std::size_t paper_layout_savings(const Message& m) {
+  const Kind k = m.kind();
+  if (k != Kind::kCyclonRequest && k != Kind::kCyclonReply &&
+      k != Kind::kVicinityRequest && k != Kind::kVicinityReply)
+    return 0;
+  const std::size_t paper = 1 + descriptors_size(gossip_entries(m));
+  const std::size_t sent = m.wire_size();
+  return paper > sent ? paper - sent : 0;
 }
 
-}  // namespace detail
 }  // namespace ares::wire

@@ -1,17 +1,16 @@
 /// §6 (prose): overlay-maintenance traffic. The paper estimates ~2,560
 /// bytes/node/cycle (two ~320 B gossips initiated + two received per 10 s
 /// cycle) and calls it negligible. With codec-measured sizes as the single
-/// source of truth, that estimate becomes a testable budget: steady-state
-/// gossip traffic must stay within +-15% of it. bench/gossip_cost.cpp
-/// enforces the same band on the full-size run. Under ARES_WIRE_DELTA=1
-/// the wire carries delta-compressed descriptors, so the gate flips to the
-/// 25%-reduction cap (and the bytes_delta_saved meter must reconcile the
-/// compressed traffic with the legacy budget).
+/// source of truth, that estimate becomes a testable budget. The wire
+/// carries delta-coded descriptor lists, so steady-state gossip traffic
+/// must land at least 25% under it, while the bytes it sent plus the
+/// wire.bytes_delta_saved meter (the paper's plain layout minus the frame
+/// sent) must reconcile to within +-15% of it. bench/gossip_cost.cpp
+/// enforces the same two gates on the full-size run.
 
 #include <gtest/gtest.h>
 
 #include "exp/grid.h"
-#include "runtime/wire.h"
 #include "workload/distributions.h"
 
 namespace ares {
@@ -53,22 +52,10 @@ TEST(GossipCost, SteadyStateTrafficWithinPaperBudget) {
 
   const double denom = static_cast<double>(kNodes) * kMeasureCycles;
   const double per_node_cycle = static_cast<double>(after - before) / denom;
-  if (wire::delta_enabled()) {
-    // Compressed traffic must land at least 25% under the paper budget, and
-    // compressed + saved must reconcile with the legacy band (the delta
-    // codec changes bytes, not message count or content).
-    EXPECT_LE(per_node_cycle, 2560.0 * 0.75);
-    EXPECT_GT(saved, 0u);
-    const double uncompressed =
-        per_node_cycle + static_cast<double>(saved) / denom;
-    EXPECT_GE(uncompressed, 2560.0 * 0.85);
-    EXPECT_LE(uncompressed, 2560.0 * 1.15);
-  } else {
-    // Paper budget: ~2,560 B/node/cycle, +-15%.
-    EXPECT_GE(per_node_cycle, 2560.0 * 0.85);
-    EXPECT_LE(per_node_cycle, 2560.0 * 1.15);
-    EXPECT_EQ(saved, 0u);
-  }
+  EXPECT_LE(per_node_cycle, 2560.0 * 0.75);
+  const double paper_layout = per_node_cycle + static_cast<double>(saved) / denom;
+  EXPECT_GE(paper_layout, 2560.0 * 0.85);
+  EXPECT_LE(paper_layout, 2560.0 * 1.15);
 }
 
 }  // namespace

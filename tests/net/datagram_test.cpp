@@ -5,6 +5,10 @@
 #include <cstring>
 #include <vector>
 
+#include "net/process.h"
+#include "net/udp_runtime.h"
+#include "runtime/wire.h"
+
 namespace ares::net {
 namespace {
 
@@ -84,6 +88,37 @@ TEST(Datagram, RejectsUnknownVersion) {
   d[2] = kVersion + 1;
   DatagramHeader out;
   EXPECT_FALSE(decode_header(d.data(), d.size(), out));
+
+  // A version-1 peer's CYCLON request: same kind tag, plain descriptor-list
+  // body. Its second entry's id (0x100) has low byte 0, which the current
+  // codec would read as a delta-entry flag; the header must stop it first.
+  wire::Writer w;
+  w.u8(static_cast<std::uint8_t>(wire::Kind::kCyclonRequest));
+  w.varint(2);
+  for (std::uint32_t id : {5u, 0x100u}) {
+    w.u32(id);
+    w.u32(7);  // age
+    w.varint(3);
+    for (std::uint64_t v : {10, 20, 30}) w.u64(v);
+    w.varint(3);
+    for (std::uint32_t c : {1, 2, 3}) w.u32(c);
+  }
+  const std::vector<std::uint8_t>& frame = w.bytes();
+  std::vector<std::uint8_t> v1(kHeaderSize);
+  encode_header({2, 0, 0, static_cast<std::uint16_t>(frame.size())}, v1.data());
+  v1.insert(v1.end(), frame.begin(), frame.end());
+  v1[2] = 1;
+  EXPECT_FALSE(decode_header(v1.data(), v1.size(), out));
+
+  const int fd = udp_bind_loopback();
+  ASSERT_GE(fd, 0);
+  AddressBook book;
+  book.set(0, {0x7F000001, local_port(fd)});
+  UdpRuntime rt(fd, book, {});
+  EXPECT_FALSE(rt.inject_datagram(v1.data(), v1.size()));
+  EXPECT_EQ(rt.rx_rejected(), 1u);
+  // Rejected at the header: the codec never saw the frame.
+  EXPECT_EQ(rt.metrics().total("wire.decode_fail"), 0u);
 }
 
 TEST(Datagram, RejectsLengthFieldMismatch) {

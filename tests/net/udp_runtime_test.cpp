@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "gossip/cyclon.h"
 #include "net/datagram.h"
 #include "net/process.h"
 #include "runtime/wire.h"
@@ -330,9 +329,9 @@ TEST(UdpRuntime, CoalescingSenderInteropsWithUncoalescedPeer) {
 }
 
 TEST(UdpRuntime, SingleFrameCyclesStayPlainV1Datagrams) {
-  // With one frame per flush the coalescing path must emit the exact v1
-  // datagram shape: header accounting shows no sub-frame overhead (the
-  // byte-identity the delta-off figure gate depends on).
+  // With one frame per flush the coalescing path must emit the plain
+  // single-frame datagram shape: header accounting shows no sub-frame
+  // overhead.
   Rig rig;
   EchoNode* n0 = rig.add(*rig.a, 0);
   rig.add(*rig.b, 2, /*echo=*/true);
@@ -399,42 +398,6 @@ TEST(UdpRuntime, BadTilingDeliversThePrefixAndRejectsTheRest) {
   EXPECT_TRUE(rig.a->inject_datagram(d.data(), d.size()));
   ASSERT_EQ(n0->received.size(), 1u);
   EXPECT_EQ(rig.a->rx_rejected(), 1u);
-}
-
-TEST(UdpRuntime, DeltaFrameToLegacyReceiverMetersDecodeFail) {
-  // Mixed-version deployment: a delta-mode sender gossips at a peer running
-  // with delta off. The escape tag (0x00 = kInvalid) has no legacy codec,
-  // so the frame rejects cleanly at the codec layer and is metered as
-  // wire.decode_fail against the addressed node.
-  std::vector<std::uint8_t> frame;
-  {
-    wire::ScopedDeltaMode delta(true);
-    CyclonShuffleMsg m;
-    m.entries.push_back({5, Point{1, 2, 3}, CellCoord{0, 1, 2}, 4});
-    m.entries.push_back({6, Point{1, 2, 4}, CellCoord{0, 1, 2}, 5});
-    frame = wire::encode(m);
-  }
-  ASSERT_FALSE(frame.empty());
-  ASSERT_EQ(frame[0], wire::kDeltaEscape);
-
-  wire::ScopedDeltaMode legacy(false);
-  Rig rig;
-  rig.add(*rig.a, 0);
-  std::vector<std::uint8_t> d(kHeaderSize + frame.size());
-  DatagramHeader h;
-  h.src = 2;
-  h.dst = 0;
-  h.payload_len = static_cast<std::uint16_t>(frame.size());
-  encode_header(h, d.data());
-  std::copy(frame.begin(), frame.end(), d.begin() + kHeaderSize);
-  EXPECT_FALSE(rig.a->inject_datagram(d.data(), d.size()));
-  EXPECT_EQ(rig.a->metrics().total("wire.decode_fail"), 1u);
-  EXPECT_EQ(rig.a->metrics().node_value(0, "wire.decode_fail"), 1u);
-
-  // The same frame decodes fine once the receiver runs delta mode
-  // (delta_codec_test covers the codec side; this pins the boundary).
-  wire::ScopedDeltaMode delta(true);
-  EXPECT_NE(wire::decode(frame), nullptr);
 }
 
 TEST(UdpRuntime, SyscallCountersTrackBatchedSends) {

@@ -7,12 +7,4 @@ void register_builtin_codecs() {
   register_codec(Kind::kPing, {});
 }
 
-// Fixture: both delta registrations lack a matching register_codec() —
-// the delta-codec rule must flag each (a delta-only kind is unreadable by
-// v1 peers and when delta mode is off).
-void register_builtin_delta_codecs() {
-  register_delta_codec(Kind::kPong, {});
-  register_delta_codec(Kind::kTestBase, {});
-}
-
 }  // namespace ares::wire

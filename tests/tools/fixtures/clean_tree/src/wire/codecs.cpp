@@ -6,10 +6,4 @@ void register_builtin_codecs() {
   register_codec(Kind::kPing, {});
 }
 
-// A delta codec is clean exactly when its kind keeps the legacy
-// registration above (the delta-codec rule's pairing requirement).
-void register_builtin_delta_codecs() {
-  register_delta_codec(Kind::kPing, {});
-}
-
 }  // namespace ares::wire

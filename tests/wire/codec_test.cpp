@@ -153,6 +153,25 @@ TEST(WireCodec, VicinityRoundTrip) {
   EXPECT_EQ(out->entries.size(), 1u);
 }
 
+TEST(WireCodec, MixedDimensionalityFallsBackToFullEntries) {
+  // Entries whose dimensionality differs from the reference (entry 0)
+  // travel as full descriptors (flags=1); the rest as deltas.
+  VicinityExchangeMsg m;
+  m.entries.push_back({1, Point{10, 20, 30}, CellCoord{1, 2, 3}, 4});
+  m.entries.push_back({2, Point{11, 19}, CellCoord{1, 2}, 5});  // fewer dims
+  m.entries.push_back({3, Point{}, CellCoord{}, 6});            // empty
+  m.entries.push_back({4, Point{12, 21, 29}, CellCoord{1, 2, 4}, 0});
+  auto out = round_trip(m);
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(out->entries.size(), m.entries.size());
+  for (std::size_t i = 0; i < m.entries.size(); ++i) {
+    EXPECT_EQ(out->entries[i].id, m.entries[i].id);
+    EXPECT_EQ(out->entries[i].age, m.entries[i].age);
+    EXPECT_EQ(out->entries[i].values, m.entries[i].values);
+    EXPECT_EQ(out->entries[i].coord, m.entries[i].coord);
+  }
+}
+
 TEST(WireCodec, QueryRoundTrip) {
   QueryMsg m;
   m.id = 0xABCDEF0012345678ULL;
@@ -612,10 +631,6 @@ void expect_same(const Message& a, const Message& b) {
 }
 
 TEST(WireProperty, EveryKindRoundTripsRandomizedMessages) {
-  // This test pins the legacy frame shape (tag byte first); the delta form
-  // has its own property suite in delta_codec_test.cpp. Force legacy so the
-  // assertions hold when ctest runs under ARES_WIRE_DELTA=1.
-  ScopedDeltaMode legacy(false);
   Rng rng(20260807);
   for (int trial = 0; trial < 100; ++trial) {
     for (Kind k : kAllKinds) {
@@ -638,6 +653,108 @@ TEST(WireProperty, EveryKindRoundTripsRandomizedMessages) {
       expect_same(*m, *out);
     }
   }
+}
+
+// ---- descriptor-list properties -------------------------------------------
+//
+// The gossip kinds delta-code their descriptor lists against the first
+// entry, so the interesting inputs are the shape gossip actually sends
+// (shared dimensionality, bounded attribute ranges, nearby coords) and
+// adversarial extremes (mixed dimensionality, zig-zag wraparound).
+
+constexpr Kind kGossipKinds[] = {Kind::kCyclonRequest, Kind::kCyclonReply,
+                                 Kind::kVicinityRequest, Kind::kVicinityReply};
+
+std::vector<PeerDescriptor> correlated_descriptors(Rng& rng, std::size_t n,
+                                                   std::size_t dims = 5) {
+  std::vector<PeerDescriptor> v(n);
+  for (auto& d : v) {
+    d.id = static_cast<NodeId>(rng.below(1000));
+    d.age = static_cast<std::uint32_t>(rng.below(20));
+    d.values.resize(dims);
+    for (auto& val : d.values) val = rng.below(80);
+    d.coord.resize(dims);
+    for (auto& c : d.coord) c = static_cast<CellIndex>(rng.below(27));
+  }
+  return v;
+}
+
+std::vector<PeerDescriptor> hostile_descriptors(Rng& rng) {
+  std::vector<PeerDescriptor> v = rand_descriptors(rng);
+  for (auto& d : v) {
+    if (rng.below(4) != 0) continue;
+    for (auto& val : d.values) val = ~0ull - rng.below(3);
+    d.id = 0xFFFFFFFFu;
+    d.age = 0xFFFFFFFFu;
+  }
+  return v;
+}
+
+MessagePtr make_gossip(Kind k, std::vector<PeerDescriptor> entries) {
+  if (k == Kind::kCyclonRequest || k == Kind::kCyclonReply) {
+    auto m = std::make_unique<CyclonShuffleMsg>();
+    m->is_reply = k == Kind::kCyclonReply;
+    m->entries = std::move(entries);
+    return m;
+  }
+  auto m = std::make_unique<VicinityExchangeMsg>();
+  m->is_reply = k == Kind::kVicinityReply;
+  m->entries = std::move(entries);
+  return m;
+}
+
+TEST(WireProperty, EveryGossipKindRoundTripsRandomizedMessages) {
+  Rng rng(20260808);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (Kind k : kGossipKinds) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(k)) + " trial " +
+                   std::to_string(trial));
+      auto entries = trial % 2 == 0 ? correlated_descriptors(rng, rng.below(10))
+                                    : hostile_descriptors(rng);
+      MessagePtr m = make_gossip(k, std::move(entries));
+      auto bytes = encode(*m);
+      ASSERT_FALSE(bytes.empty());
+      EXPECT_EQ(m->wire_size(), bytes.size());
+      MessagePtr out = decode(bytes);
+      ASSERT_NE(out, nullptr);
+      EXPECT_EQ(out->wire_size(), bytes.size());
+      expect_same(*m, *out);
+    }
+  }
+}
+
+TEST(WireProperty, SizeBodyMatchesEncodedLength) {
+  // The closed-form sizer must agree with the encoder on every input:
+  // traffic accounting is only as honest as this.
+  Rng rng(5);
+  for (int trial = 0; trial < 100; ++trial) {
+    for (Kind k : kGossipKinds) {
+      MessagePtr m = make_gossip(k, hostile_descriptors(rng));
+      EXPECT_EQ(encoded_size(*m), encode(*m).size());
+      m = make_gossip(k, correlated_descriptors(rng, rng.below(10)));
+      EXPECT_EQ(encoded_size(*m), encode(*m).size());
+    }
+  }
+}
+
+TEST(WireProperty, CompressionMeetsTheBenchFloor) {
+  // On gossip-shaped exchanges (full view, 5 dimensions, bounded attribute
+  // ranges) frames must be at least 25% smaller than the paper's plain
+  // layout — what the gossip_cost and net_deploy gates measure end to end
+  // — and paper_layout_savings() must report exactly the difference.
+  // Plain layout: tag + count + 6 x (id, age, 1+5x8 values, 1+5x4 coords).
+  constexpr std::size_t kPaperBytes = 1 + 1 + 6 * (4 + 4 + 41 + 21);
+  Rng rng(6);
+  for (int trial = 0; trial < 50; ++trial) {
+    MessagePtr m =
+        make_gossip(Kind::kCyclonRequest, correlated_descriptors(rng, 6, 5));
+    const std::size_t sent = encode(*m).size();
+    EXPECT_LE(sent * 4, kPaperBytes * 3)
+        << "trial " << trial << ": " << sent << " vs " << kPaperBytes;
+    EXPECT_EQ(paper_layout_savings(*m), kPaperBytes - sent);
+  }
+  ProgressMsg p;  // kinds without a descriptor list save nothing
+  EXPECT_EQ(paper_layout_savings(p), 0u);
 }
 
 TEST(WireProperty, SizeIsStableAcrossRecode) {

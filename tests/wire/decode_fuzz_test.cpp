@@ -8,6 +8,11 @@
 /// When a mutated frame DOES decode, the result must still uphold the codec
 /// invariants: its kind matches the tag and its cached wire_size() equals
 /// the frame length it arrived in.
+///
+/// The DeltaDecodeFuzz cases aim the same attacks at the delta-coded
+/// descriptor lists of the gossip kinds, with entries that share the
+/// reference's dimensionality so the delta path (not the full-entry
+/// fallback) is what gets parsed.
 
 #include "wire/codecs.h"
 
@@ -117,20 +122,12 @@ std::vector<std::vector<std::uint8_t>> corpus(Rng& rng) {
   return frames;
 }
 
-/// decode() must be total; on success the codec invariants must hold. Under
-/// ARES_WIRE_DELTA=1 a mutation can land on the delta-escape prologue
-/// ([0x00][version][kind], see delta_codec_test.cpp), where the kind tag
-/// sits at byte 2 instead of byte 0.
+/// decode() must be total; on success the codec invariants must hold.
 void expect_total(const std::vector<std::uint8_t>& bytes) {
   MessagePtr m = decode(bytes);
   if (m == nullptr) return;
   ASSERT_FALSE(bytes.empty());
-  if (bytes[0] == kDeltaEscape) {
-    ASSERT_GE(bytes.size(), 3u);
-    EXPECT_EQ(static_cast<std::uint8_t>(m->kind()), bytes[2]);
-  } else {
-    EXPECT_EQ(static_cast<std::uint8_t>(m->kind()), bytes[0]);
-  }
+  EXPECT_EQ(static_cast<std::uint8_t>(m->kind()), bytes[0]);
   EXPECT_EQ(m->wire_size(), bytes.size());
 }
 
@@ -200,6 +197,128 @@ TEST(DecodeFuzz, PureRandomBuffersNeverCrash) {
       junk[0] = static_cast<std::uint8_t>(1 + rng.below(14));
     expect_total(junk);
   }
+}
+
+// ---- delta-coded descriptor lists -----------------------------------------
+
+constexpr Kind kGossipKinds[] = {Kind::kCyclonRequest, Kind::kCyclonReply,
+                                 Kind::kVicinityRequest, Kind::kVicinityReply};
+
+/// Gossip-shaped descriptors: 5 dimensions, bounded values, nearby coords.
+std::vector<PeerDescriptor> gossip_descriptors(Rng& rng, std::size_t n) {
+  std::vector<PeerDescriptor> v(n);
+  for (auto& d : v) {
+    d.id = static_cast<NodeId>(rng.below(1000));
+    d.age = static_cast<std::uint32_t>(rng.below(20));
+    d.values.resize(5);
+    for (auto& val : d.values) val = rng.below(80);
+    d.coord.resize(5);
+    for (auto& c : d.coord) c = static_cast<CellIndex>(rng.below(27));
+  }
+  return v;
+}
+
+std::vector<std::uint8_t> gossip_frame(Kind k, std::vector<PeerDescriptor> v) {
+  if (k == Kind::kCyclonRequest || k == Kind::kCyclonReply) {
+    CyclonShuffleMsg m;
+    m.is_reply = k == Kind::kCyclonReply;
+    m.entries = std::move(v);
+    return encode(m);
+  }
+  VicinityExchangeMsg m;
+  m.is_reply = k == Kind::kVicinityReply;
+  m.entries = std::move(v);
+  return encode(m);
+}
+
+TEST(DeltaDecodeFuzz, EveryPrefixTruncationFailsCleanly) {
+  Rng rng(0xDE17A1);
+  for (Kind k : kGossipKinds) {
+    const auto frame = gossip_frame(k, gossip_descriptors(rng, 5));
+    for (std::size_t len = 0; len < frame.size(); ++len)
+      EXPECT_EQ(decode(frame.data(), len), nullptr)
+          << "kind " << int(k) << " prefix " << len;
+  }
+}
+
+TEST(DeltaDecodeFuzz, SingleBitFlipsNeverCrash) {
+  Rng rng(0xDE17A2);
+  for (Kind k : kGossipKinds) {
+    auto entries = gossip_descriptors(rng, 4);
+    entries[1].values.resize(2);  // one full-entry fallback
+    entries[2].values[0] = ~0ull;  // a wrapping delta
+    const auto frame = gossip_frame(k, std::move(entries));
+    for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto copy = frame;
+        copy[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        expect_total(copy);
+      }
+    }
+  }
+}
+
+TEST(DeltaDecodeFuzz, RandomMutationsNeverCrash) {
+  Rng rng(0xDE17A3);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (Kind k : kGossipKinds)
+    frames.push_back(gossip_frame(k, gossip_descriptors(rng, 6)));
+  for (int trial = 0; trial < 4000; ++trial) {
+    auto copy = frames[rng.index(frames.size())];
+    std::uint64_t edits = 1 + rng.below(4);
+    for (std::uint64_t e = 0; e < edits && !copy.empty(); ++e)
+      copy[rng.index(copy.size())] = static_cast<std::uint8_t>(rng.below(256));
+    if (rng.below(4) == 0) copy.push_back(static_cast<std::uint8_t>(rng.below(256)));
+    if (rng.below(4) == 0 && !copy.empty()) copy.pop_back();
+    expect_total(copy);
+  }
+}
+
+TEST(DeltaDecodeFuzz, TargetedMalformedFramesAreRejected) {
+  Rng rng(0xDE17A4);
+  const auto good = gossip_frame(Kind::kCyclonRequest, gossip_descriptors(rng, 3));
+  ASSERT_NE(decode(good), nullptr);
+
+  // A leading 0x00 is Kind::kInvalid: an unknown kind, like any other.
+  auto invalid = good;
+  invalid.insert(invalid.begin(), 0x00);
+  EXPECT_EQ(decode(invalid), nullptr);
+
+  // Varint overflow planted at the entry count.
+  auto overflow = good;
+  static constexpr std::uint8_t kForever[] = {0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                              0x80, 0x80, 0x80, 0x80, 0x80};
+  overflow.erase(overflow.begin() + 1, overflow.end());
+  overflow.insert(overflow.end(), std::begin(kForever), std::end(kForever));
+  EXPECT_EQ(decode(overflow), nullptr);
+
+  // Count bomb: claims 2^20 entries in a tiny frame.
+  EXPECT_EQ(decode(std::vector<std::uint8_t>{0x01, 0x80, 0x80, 0x40}), nullptr);
+}
+
+TEST(DeltaDecodeFuzz, OutOfRangeBitmapBitsAreRejected) {
+  // Two 3-dimensional entries: the second is a delta entry whose value
+  // bitmap sits after tag, count, the 46-byte reference, flags, and the
+  // one-byte id and age deltas.
+  std::vector<PeerDescriptor> entries;
+  entries.push_back({5, Point{10, 2000, 300000000000ULL}, CellCoord{1, 2, 7}, 0});
+  entries.push_back({6, Point{11, 1999, 300000000000ULL}, CellCoord{1, 2, 8}, 1});
+  const auto good = gossip_frame(Kind::kCyclonRequest, entries);
+  constexpr std::size_t kFlags = 1 + 1 + 46;
+  constexpr std::size_t kValueBitmap = kFlags + 3;
+  ASSERT_EQ(good[kFlags], 0x00);
+  ASSERT_EQ(good[kValueBitmap], 0x03);
+  ASSERT_NE(decode(good), nullptr);
+
+  // A bit past the reference dimensionality: reject, never index OOB.
+  auto bad_bitmap = good;
+  bad_bitmap[kValueBitmap] = 0x08;
+  EXPECT_EQ(decode(bad_bitmap), nullptr);
+
+  // Reserved entry flags (neither delta nor full) are rejected too.
+  auto bad_flags = good;
+  bad_flags[kFlags] = 0x02;
+  EXPECT_EQ(decode(bad_flags), nullptr);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
-// Golden-frame pins for the gossip exchange messages.
+// Golden-frame pins for the gossip exchange and select-path messages.
 //
-// The hex fixtures below are the exact frames the codec produced BEFORE
-// Point/CellCoord moved to inline storage (captured from the tree at commit
-// "Add clang-tidy gate and ares-lint determinism/layering linter"). The
-// descriptor retype must be invisible on the wire: encoding the same
-// logical messages must reproduce these bytes exactly, and decoding them
-// must reproduce the same field values. If this test fails, the wire format
-// changed — that breaks recorded-trace compatibility and the paper's
-// byte-accounting, so it must be deliberate and versioned, never a side
-// effect of a container swap.
+// Every frame is a 1-byte wire::Kind tag plus the kind's body. The gossip
+// kinds carry delta-coded descriptor lists (docs/PROTOCOL.md
+// §"Descriptor-list encoding"): the first descriptor travels in full — the
+// same 46 bytes the paper's plain layout uses — and every later one as
+// deltas against it. Encoding these logical messages must reproduce the
+// bytes exactly, and decoding them must reproduce the field values. If this
+// test fails, the wire format changed — that breaks recorded-trace
+// compatibility and the paper's byte accounting, so it must be deliberate
+// and versioned (net::kVersion), never a side effect of a refactor.
 
 #include <gtest/gtest.h>
 
@@ -55,21 +55,26 @@ std::vector<std::uint8_t> from_hex(const std::string& hex) {
   return out;
 }
 
-// 36-byte descriptor body shared by all four frames:
-//   id(u32) age(u32) |values|=3(varint) 3*u64 |coord|=3(varint) 3*u32
+// 38-byte descriptor body (after id and age) shared by all four frames:
+//   |values|=3(varint) 3*u64 |coord|=3(varint) 3*u32
 const char* const kDescBody =
     "030a00000000000000d00700000000000000b86"
     "4d94500000003010000000200000007000000";
 
 const std::string kDesc5Age0 = std::string("0500000000000000") + kDescBody;
-const std::string kDescBeefAge42 = std::string("efbeadde2a000000") + kDescBody;
 const std::string kDesc7Age1 = std::string("0700000001000000") + kDescBody;
 
-// kind tag, count=2, then the two descriptors (94 bytes total).
-const std::string kCyclonRequestHex = "0102" + kDesc5Age0 + kDescBeefAge42;
-// kind tag, count=1, one descriptor (48 bytes total).
+// Second entry as deltas against the first: flags=0 (delta), id
+// 0xDEADBEEF-5 and age +42 as zig-zag varints, then empty value and coord
+// bitmaps (every value and coord equals the reference's).
+const std::string kDeltaBeefAge42 = "00" "ab84929504" "54" "00" "00";
+
+// kind tag, count=2, the reference, then the delta entry (57 bytes total;
+// the paper's plain layout of the same list is 94).
+const std::string kCyclonRequestHex = "0102" + kDesc5Age0 + kDeltaBeefAge42;
+// kind tag, count=1, one descriptor in full (48 bytes total).
 const std::string kCyclonReplyHex = "0201" + kDesc7Age1;
-const std::string kVicinityRequestHex = "0302" + kDesc5Age0 + kDescBeefAge42;
+const std::string kVicinityRequestHex = "0302" + kDesc5Age0 + kDeltaBeefAge42;
 const std::string kVicinityReplyHex = "0401" + kDesc7Age1;
 
 void check_decoded_entries(const std::vector<PeerDescriptor>& entries,
@@ -84,15 +89,12 @@ void check_decoded_entries(const std::vector<PeerDescriptor>& entries,
   if (two_entry_frame) {
     EXPECT_EQ(entries[1].id, 0xDEADBEEFu);
     EXPECT_EQ(entries[1].age, 42u);
+    EXPECT_EQ(entries[1].values, want.values);
+    EXPECT_EQ(entries[1].coord, want.coord);
   }
 }
 
-// The gossip pins below are the LEGACY (v1) frames; the compressed form has
-// its own pins in delta_codec_test.cpp. Force delta mode off per test so
-// the bytes stay pinned when ctest runs under ARES_WIRE_DELTA=1.
-
 TEST(GoldenFrames, CyclonRequestBytesUnchanged) {
-  wire::ScopedDeltaMode legacy(false);
   CyclonShuffleMsg m;
   m.is_reply = false;
   m.entries.push_back(golden_descriptor(5, 0));
@@ -102,7 +104,6 @@ TEST(GoldenFrames, CyclonRequestBytesUnchanged) {
 }
 
 TEST(GoldenFrames, CyclonReplyBytesUnchanged) {
-  wire::ScopedDeltaMode legacy(false);
   CyclonShuffleMsg m;
   m.is_reply = true;
   m.entries.push_back(golden_descriptor(7, 1));
@@ -110,7 +111,6 @@ TEST(GoldenFrames, CyclonReplyBytesUnchanged) {
 }
 
 TEST(GoldenFrames, VicinityRequestBytesUnchanged) {
-  wire::ScopedDeltaMode legacy(false);
   VicinityExchangeMsg m;
   m.is_reply = false;
   m.entries.push_back(golden_descriptor(5, 0));
@@ -119,7 +119,6 @@ TEST(GoldenFrames, VicinityRequestBytesUnchanged) {
 }
 
 TEST(GoldenFrames, VicinityReplyBytesUnchanged) {
-  wire::ScopedDeltaMode legacy(false);
   VicinityExchangeMsg m;
   m.is_reply = true;
   m.entries.push_back(golden_descriptor(7, 1));
@@ -152,6 +151,45 @@ TEST(GoldenFrames, PinnedFramesDecodeToOriginalFields) {
       EXPECT_EQ(s->is_reply, c.is_reply);
       check_decoded_entries(s->entries, !c.is_reply);
     }
+  }
+}
+
+// A two-entry exchange whose second entry differs from the reference in
+// some values and coords: id +1 and age +1 (zig-zag 02), value bitmap 0b011
+// with deltas +1/-1, coord bitmap 0b100 with delta +1.
+std::vector<PeerDescriptor> delta_golden_entries() {
+  std::vector<PeerDescriptor> v;
+  v.push_back({5, Point{10, 2000, 300000000000ULL}, CellCoord{1, 2, 7}, 0});
+  v.push_back({6, Point{11, 1999, 300000000000ULL}, CellCoord{1, 2, 8}, 1});
+  return v;
+}
+
+const std::string kCyclonDeltaHex = "0102" + kDesc5Age0 +
+                                    "00"      // entry 1: flags = delta
+                                    "0202"    // id +1, age +1 (zig-zag)
+                                    "030201"  // value bitmap 0b011, +1, -1
+                                    "0402";   // coord bitmap 0b100, +1
+
+TEST(DeltaGoldenFrames, CyclonRequestDeltaBytesPinned) {
+  CyclonShuffleMsg m;
+  m.entries = delta_golden_entries();
+  EXPECT_EQ(to_hex(wire::encode(m)), kCyclonDeltaHex);
+  EXPECT_EQ(m.wire_size(), kCyclonDeltaHex.size() / 2);
+}
+
+TEST(DeltaGoldenFrames, PinnedDeltaFrameDecodesToOriginalFields) {
+  MessagePtr m = wire::decode(from_hex(kCyclonDeltaHex));
+  ASSERT_NE(m, nullptr);
+  const auto* s = dynamic_cast<const CyclonShuffleMsg*>(m.get());
+  ASSERT_NE(s, nullptr);
+  EXPECT_FALSE(s->is_reply);
+  const auto want = delta_golden_entries();
+  ASSERT_EQ(s->entries.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(s->entries[i].id, want[i].id);
+    EXPECT_EQ(s->entries[i].age, want[i].age);
+    EXPECT_EQ(s->entries[i].values, want[i].values);
+    EXPECT_EQ(s->entries[i].coord, want[i].coord);
   }
 }
 

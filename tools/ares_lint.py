@@ -79,14 +79,6 @@ invariants"):
                    register_codec() call in src/wire/codecs.cpp and a
                    round-trip case in tests/wire/codec_test.cpp.
 
-  delta-codec      Every register_delta_codec(Kind::X, ...) call in
-                   src/wire/codecs.cpp must be paired with a
-                   register_codec(Kind::X, ...) call in the same file. The
-                   legacy form stays the default on-the-wire encoding and
-                   the only decode path with delta mode off (ARES_WIRE_DELTA
-                   unset); a delta-only kind would be unreadable by v1
-                   peers and break the byte-identical figure guarantee.
-
 Suppressions must carry a non-empty reason; the per-rule suppression count
 is asserted against tools/lint_baseline.txt so it can only shrink, never
 silently grow (update deliberately with --update-baseline).
@@ -621,25 +613,6 @@ class Linter:
                     f"Kind::{kind} has no round-trip case in {CODEC_TEST} — "
                     "every wire kind gets encode/decode property coverage"))
 
-    # -- rule: delta-codec ---------------------------------------------------
-
-    def check_delta_codec(self):
-        impl_sf = self.load(CODEC_IMPL)
-        if impl_sf is None:
-            return  # repo without a wire layer (fixture trees)
-        legacy = set(re.findall(r"register_codec\s*\(\s*Kind\s*::\s*(\w+)",
-                                impl_sf.code))
-        for m in re.finditer(r"register_delta_codec\s*\(\s*Kind\s*::\s*(\w+)",
-                             impl_sf.code):
-            kind = m.group(1)
-            if kind in legacy:
-                continue
-            self.findings.append(Finding(
-                "delta-codec", CODEC_IMPL, impl_sf.line_of(m.start()),
-                f"Kind::{kind} registers a delta codec without a matching "
-                f"register_codec() in {CODEC_IMPL} — the legacy form is the "
-                "default encoding and the only decode path with delta off"))
-
     def run(self):
         self.check_unordered_iter()
         self.check_forbidden_api()
@@ -651,7 +624,6 @@ class Linter:
         self.check_net_seam()
         self.check_layering()
         self.check_codec()
-        self.check_delta_codec()
         return self.findings
 
 
@@ -702,7 +674,6 @@ def self_test(fixture_root: pathlib.Path) -> int:
         "net-seam": 3,             # sys/socket.h + sys/epoll.h + unistd.h
         "layering": 2,             # gossip -> sim, gossip -> exp
         "codec": 2,                # kPong: missing registration + missing test
-        "delta-codec": 2,          # kPong + kTestBase delta-only registrations
     }
     for rule, minimum in expect.items():
         got = len(by_rule.get(rule, []))
