@@ -13,9 +13,9 @@
 /// sorted_elements() / sorted_keys() below.
 ///
 /// FlatMap/FlatSet favor the protocol's actual shapes: per-query maps of a
-/// handful of outstanding branches and match records, where a sorted vector
-/// beats a node-based map on locality and beats a hash map on determinism
-/// with no measurable cost at these sizes.
+/// handful of outstanding branches, where a sorted vector beats a
+/// node-based map on locality and beats a hash map on determinism with no
+/// measurable cost at these sizes.
 
 #include <algorithm>
 #include <cstddef>

@@ -17,6 +17,7 @@
 /// sender is implicit in the simulated delivery.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -33,6 +34,17 @@ struct MatchRecord {
   NodeId id = kInvalidNode;
   Point values;
 };
+
+/// True when `records` are strictly ascending by id: the order every
+/// candidate set is kept and published in (kReply bodies included).
+bool ids_ascending(std::span<const MatchRecord> records);
+
+/// Set union of two candidate sets (Fig. 5 receive_reply line 2): merges
+/// `run` into `held`, both strictly ascending by id, in one linear pass.
+/// On an id present in both, the record already in `held` wins. The merge
+/// works in place with no scratch buffer and grows `held` at most once;
+/// that growth may reallocate, so `run` must not point into `held`.
+void merge_records(std::vector<MatchRecord>& held, std::span<const MatchRecord> run);
 
 struct QueryMsg final : Message {
   QueryId id = 0;

@@ -25,6 +25,13 @@ RangeQuery union_ranges(const RangeQuery& a, const RangeQuery& b) {
   return RangeQuery(std::move(out));
 }
 
+/// Binary search of an ascending-id candidate set.
+bool holds(const std::vector<MatchRecord>& matching, NodeId id) {
+  auto below = [](const MatchRecord& m, NodeId key) { return m.id < key; };
+  auto it = std::lower_bound(matching.begin(), matching.end(), id, below);
+  return it != matching.end() && it->id == id;
+}
+
 }  // namespace
 
 SelectionNode::SelectionNode(const AttributeSpace& space, DescriptorStore& store,
@@ -59,6 +66,7 @@ void SelectionNode::start() {
   m_cache_stale_ = metrics().counter("query.cache_stale");
   m_coalesce_attach_ = metrics().counter("query.coalesce_attach");
   m_coalesce_dispatch_ = metrics().counter("query.coalesce_dispatch");
+  m_decode_fail_ = metrics().counter("wire.decode_fail");
 
   // Register our own profile before any layer hands out handles to it.
   store_.put(id(), values_);
@@ -170,7 +178,49 @@ QueryId SelectionNode::submit(const RangeQuery& q, std::uint32_t sigma,
   return qid;
 }
 
+/// Ingress check, run before any handler: a frame can decode cleanly yet
+/// not fit this node's space — a query or record of another dimensionality,
+/// a level outside [-1, max(l)], reply records out of id order (the merge's
+/// precondition), a descriptor without an address. The handlers would index
+/// past their arrays on it, so to this node it is as unusable as a frame
+/// that does not parse.
+bool SelectionNode::fits_space(const Message& m) const {
+  const auto d = static_cast<std::size_t>(space_.dimensions());
+  auto descriptors_fit = [d](const std::vector<PeerDescriptor>& entries) {
+    for (const PeerDescriptor& e : entries)
+      if (e.id == kInvalidNode || e.values.size() != d) return false;
+    return true;
+  };
+  // Each kind is produced by exactly one message type (the codec registry's
+  // dispatch rule), so the casts below are checked by the switch.
+  switch (m.kind()) {
+    case wire::Kind::kQuery: {
+      const auto& q = static_cast<const QueryMsg&>(m);
+      const auto dims = static_cast<std::size_t>(q.query.dimensions());
+      return dims == d && q.level >= -1 && q.level <= space_.max_level();
+    }
+    case wire::Kind::kReply: {
+      const auto& matching = static_cast<const ReplyMsg&>(m).matching;
+      for (const MatchRecord& r : matching)
+        if (r.values.size() != d) return false;
+      return ids_ascending(matching);
+    }
+    case wire::Kind::kCyclonRequest:
+    case wire::Kind::kCyclonReply:
+      return descriptors_fit(static_cast<const CyclonShuffleMsg&>(m).entries);
+    case wire::Kind::kVicinityRequest:
+    case wire::Kind::kVicinityReply:
+      return descriptors_fit(static_cast<const VicinityExchangeMsg&>(m).entries);
+    default:
+      return true;
+  }
+}
+
 void SelectionNode::on_message(NodeId from, const Message& m) {
+  if (!fits_space(m)) {
+    metrics().inc(id(), m_decode_fail_);
+    return;
+  }
   if (cyclon_ != nullptr && cyclon_->handle(from, m)) {
     refresh_routing();
     return;
@@ -239,7 +289,7 @@ void SelectionNode::handle_query(NodeId from, const QueryMsg& qm, bool is_origin
   st.parent = qm.reply_to;
   st.is_origin = is_origin;
   st.done = std::move(done);
-  if (matched) st.matching.emplace(id(), MatchRecord{id(), values_});
+  if (matched) st.matching.push_back(MatchRecord{id(), values_});
 
   // Heartbeat the parent while we work on its branch (see ProgressMsg):
   // an immediate ack, then periodic keepalives until we reply.
@@ -271,7 +321,7 @@ void SelectionNode::continue_query(QueryState& st) {
           // A fresh complete fragment with exactly this (subcell, clamped
           // ranges) identity: the whole branch resolves locally.
           metrics().observe("query.cache_hit_age", static_cast<double>(e->age));
-          for (const MatchRecord& m : e->records) st.matching.emplace(m.id, m);
+          merge_records(st.matching, e->records);
           meter_cache();
           q.dims_mask &= ~bit;
           if (st.matching.size() >= q.sigma) {
@@ -308,7 +358,7 @@ void SelectionNode::continue_query(QueryState& st) {
     // match (Fig. 5, forward lines 10-17).
     for (const CompactPeer n : rt_->zero()) {
       if (!q.query.matches(store_.point_of(n.id))) continue;
-      if (st.matching.contains(n.id)) continue;
+      if (holds(st.matching, n.id)) continue;
       if (st.waiting.contains(n.id)) continue;
       bool failed = false;
       for (NodeId f : st.failed) failed = failed || (f == n.id);
@@ -425,15 +475,13 @@ void SelectionNode::handle_reply(NodeId from, const ReplyMsg& r) {
     }
     st.waiting.erase(w);
   }
-  for (const auto& m : r.matching) st.matching.emplace(m.id, m);
+  merge_records(st.matching, r.matching);
   resume(st);
 }
 
 void SelectionNode::finish(QueryState& st) {
   const QueryId qid = st.msg.id;
-  std::vector<MatchRecord> matches;
-  matches.reserve(st.matching.size());
-  for (auto& [nid, rec] : st.matching) matches.push_back(rec);
+  std::vector<MatchRecord> matches = std::move(st.matching);
 
   if (st.is_origin) {
     metrics().observe("query.result_size", static_cast<double>(matches.size()));
@@ -559,15 +607,18 @@ void SelectionNode::finish_shared(QueryId sqid,
     st.shared_wait = false;
     st.subtree_complete = st.subtree_complete && complete;
     std::vector<MatchRecord> own;
+    own.reserve(records.size());
     for (const MatchRecord& m : records)
       if (st.msg.query.matches(m.values)) own.push_back(m);
+    merge_records(st.matching, own);
     if (cache_.enabled() && complete) {
       // Riders carry no dynamic filters (coalescing eligibility), so the
-      // filtered records are exactly the rider's fragment.
-      cache_.insert(rider.key, own);
+      // filtered records are exactly the rider's fragment. The cache keeps
+      // it for many queries: drop the slack the filter left first.
+      own.shrink_to_fit();
+      cache_.insert(rider.key, std::move(own));
       meter_cache();
     }
-    for (const MatchRecord& m : own) st.matching.emplace(m.id, m);
     resume(st);
   }
 }

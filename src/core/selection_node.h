@@ -181,10 +181,10 @@ class SelectionNode final : public Node {
     /// shared result fans out.
     bool shared_wait = false;
     CompletionFn done;
-    // Flat sorted maps: finish() publishes `matching` in iteration order
-    // (replies and the final candidate set go over the wire), so iteration
-    // must be deterministic — ascending NodeId, never hash order.
-    FlatMap<NodeId, MatchRecord> matching;
+    // The candidate set, strictly ascending by NodeId: finish() publishes it
+    // as is (replies and the final candidate set go over the wire), and each
+    // incoming run joins it through one linear merge_records().
+    std::vector<MatchRecord> matching;
     FlatMap<NodeId, Outstanding> waiting;
     std::vector<NodeId> failed;
   };
@@ -211,6 +211,7 @@ class SelectionNode final : public Node {
   };
 
   bool matches_self(const RangeQuery& q) const;
+  bool fits_space(const Message& m) const;
   void handle_query(NodeId from, const QueryMsg& qm, bool is_origin,
                     CompletionFn done);
   void handle_reply(NodeId from, const ReplyMsg& r);
@@ -248,7 +249,6 @@ class SelectionNode final : public Node {
 
   std::unordered_map<QueryId, QueryState> active_;
   std::unordered_set<QueryId> completed_;
-  std::uint32_t next_query_seq_ = 0;
   std::uint64_t next_dispatch_seq_ = 0;
 
   ResultCache cache_;
@@ -257,6 +257,8 @@ class SelectionNode final : public Node {
   // for a (level, dim) match in deterministic (ascending id) order.
   FlatMap<QueryId, SharedBranch> shared_;
 
+  // The 32-bit fields come last, so together they leave no padding.
+  std::uint32_t next_query_seq_ = 0;
   // Interned in start() (the Metrics registry belongs to the runtime we
   // attach to): hot-path increments skip the string-keyed lookup.
   Metrics::Counter m_gossip_cycles_ = 0;
@@ -269,6 +271,7 @@ class SelectionNode final : public Node {
   Metrics::Counter m_cache_stale_ = 0;
   Metrics::Counter m_coalesce_attach_ = 0;
   Metrics::Counter m_coalesce_dispatch_ = 0;
+  Metrics::Counter m_decode_fail_ = 0;
 };
 
 }  // namespace ares

@@ -6,6 +6,8 @@ namespace ares {
 
 void DescriptorStore::put(NodeId id, const Point& values) {
   assert(static_cast<int>(values.size()) == space_->dimensions());
+  // id + 1 would wrap to 0 and the resize below would truncate every row.
+  assert(id != kInvalidNode);
   if (id >= present_.size()) {
     present_.resize(id + 1, 0);
     values_.resize(present_.size() * dims_, 0);

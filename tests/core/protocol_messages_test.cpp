@@ -1,8 +1,9 @@
 /// Message-level tests of the SelectionNode state machine: crafted QUERY /
-/// REPLY / PROGRESS frames injected through the loopback runtime (zero
-/// latency, manual clock — no Simulator/Network pair), exercising paths
-/// end-to-end runs rarely hit (duplicate receptions, late replies,
-/// keepalive deadline refresh, unknown-query progress).
+/// REPLY / PROGRESS / gossip frames injected through the loopback runtime
+/// (zero latency, manual clock — no Simulator/Network pair), exercising
+/// paths end-to-end runs rarely hit (duplicate receptions, late replies,
+/// keepalive deadline refresh, unknown-query progress, frames whose
+/// geometry does not fit the receiving node).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@ class ProtocolMessagesTest : public ::testing::Test {
   }
 
   SelectionNode& node(NodeId id) { return *net.find_as<SelectionNode>(id); }
+
+  std::uint64_t decode_fails() const { return net.metrics().total("wire.decode_fail"); }
 
   /// Crafted query message addressed as if `parent` forwarded it.
   std::unique_ptr<QueryMsg> make_query(QueryId qid, NodeId parent, int level,
@@ -49,6 +52,7 @@ class ProtocolMessagesTest : public ::testing::Test {
 class SinkNode final : public Node {
  public:
   void on_message(NodeId from, const Message& m) override {
+    ++received;
     if (const auto* r = dynamic_cast<const ReplyMsg*>(&m)) {
       replies.emplace_back(from, *r);
     } else if (dynamic_cast<const ProgressMsg*>(&m) != nullptr) {
@@ -57,6 +61,22 @@ class SinkNode final : public Node {
   }
   std::vector<std::pair<NodeId, ReplyMsg>> replies;
   int progress_count = 0;
+  int received = 0;
+};
+
+/// Test double that answers every query with a scripted, complete reply.
+class ScriptedChild final : public Node {
+ public:
+  void on_message(NodeId from, const Message& m) override {
+    const auto* q = dynamic_cast<const QueryMsg*>(&m);
+    if (q == nullptr) return;
+    auto r = std::make_unique<ReplyMsg>();
+    r->id = q->id;
+    r->matching = records;
+    r->complete = true;
+    send(from, std::move(r));
+  }
+  std::vector<MatchRecord> records;
 };
 
 TEST_F(ProtocolMessagesTest, LeafProbeAnswersWithSelfOnly) {
@@ -192,6 +212,152 @@ TEST_F(ProtocolMessagesTest, QueryStateCleanedAfterCompletion) {
   EXPECT_TRUE(done);
   EXPECT_EQ(node(a).active_queries(), 0u);
   EXPECT_EQ(node(b).active_queries(), 0u);
+}
+
+TEST_F(ProtocolMessagesTest, ChildReplyRepeatingHeldIdKeepsFirstRecord) {
+  NodeId a = add_node({5, 5});
+  NodeId child = net.add_node(std::make_unique<ScriptedChild>());
+  // The child's reply repeats a's id with other values.
+  net.find_as<ScriptedChild>(child)->records = {{a, {6, 6}}, {child, {75, 5}}};
+  node(a).routing().offer(make_descriptor(space, child, {75, 5}));  // N(3,0)(a)
+  std::vector<MatchRecord> result;
+  bool done = false;
+  auto on_done = [&](const std::vector<MatchRecord>& m) {
+    result = m;
+    done = true;
+  };
+  node(a).submit(RangeQuery::any(2), kNoSigma, on_done);
+  net.run_until(net.now() + 600 * kSecond);
+  ASSERT_TRUE(done);
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_EQ(result[0].id, a);
+  EXPECT_EQ(result[0].values, (Point{5, 5}));
+  EXPECT_EQ(result[1].id, child);
+  EXPECT_EQ(result[1].values, (Point{75, 5}));
+}
+
+// ---- ingress: frames whose geometry does not fit the node ---------------
+//
+// Each frame below decodes cleanly (all of them survive ARES_WIRE=1), yet
+// would make a handler index past its arrays. The node must drop it before
+// any handler runs, meter it as wire.decode_fail, and keep no state.
+
+TEST_F(ProtocolMessagesTest, QueryOfOtherDimensionalityDropped) {
+  NodeId parent = net.add_node(std::make_unique<SinkNode>());
+  NodeId leaf = add_node({5, 5});
+  QueryId qid = 100;
+  for (int dims : {1, 3, 17}) {
+    auto q = make_query(qid++, parent, 3, all_dims_mask(dims));
+    q->query = RangeQuery::any(dims);
+    net.send(parent, leaf, std::move(q));
+  }
+  net.run_until(net.now() + 600 * kSecond);
+  EXPECT_EQ(decode_fails(), 3u);
+  EXPECT_EQ(net.find_as<SinkNode>(parent)->received, 0);
+  EXPECT_EQ(node(leaf).active_queries(), 0u);
+}
+
+TEST_F(ProtocolMessagesTest, QueryLevelOutsideSpaceDropped) {
+  NodeId parent = net.add_node(std::make_unique<SinkNode>());
+  NodeId leaf = add_node({5, 5});
+  ASSERT_EQ(space.max_level(), 3);
+  QueryId qid = 110;
+  for (int level : {-2, 4, 200, 254})
+    net.send(parent, leaf, make_query(qid++, parent, level, 0b11));
+  net.run_until(net.now() + 600 * kSecond);
+  EXPECT_EQ(decode_fails(), 4u);
+  EXPECT_EQ(net.find_as<SinkNode>(parent)->received, 0);
+  EXPECT_EQ(node(leaf).active_queries(), 0u);
+  // The bounds themselves are legal: a leaf probe and a fresh query.
+  net.send(parent, leaf, make_query(qid++, parent, -1, 0));
+  net.send(parent, leaf, make_query(qid++, parent, 3, 0b11));
+  net.run_until(net.now() + 600 * kSecond);
+  EXPECT_EQ(decode_fails(), 4u);
+  EXPECT_EQ(net.find_as<SinkNode>(parent)->replies.size(), 2u);
+}
+
+TEST_F(ProtocolMessagesTest, MalformedReplyRecordsDropped) {
+  NodeId a = add_node({5, 5});
+  NodeId child = net.add_node(std::make_unique<SinkNode>());  // never answers
+  node(a).routing().offer(make_descriptor(space, child, {75, 5}));
+  std::vector<MatchRecord> result;
+  bool done = false;
+  auto on_done = [&](const std::vector<MatchRecord>& m) {
+    result = m;
+    done = true;
+  };
+  const QueryId qid = node(a).submit(RangeQuery::any(2), kNoSigma, on_done);
+  net.run_until(net.now() + 600 * kSecond);
+  ASSERT_EQ(node(a).active_queries(), 1u);  // waiting on the child
+
+  const std::vector<std::vector<MatchRecord>> bad = {
+      {{child, {75, 5, 1}}},                     // 3-dimensional record
+      {{child, {75}}},                           // 1-dimensional record
+      {{child, {75, 5}}, {child, {75, 5}}},      // repeated id
+      {{child + 1, {75, 5}}, {child, {75, 5}}},  // descending ids
+  };
+  for (const auto& records : bad) {
+    auto r = std::make_unique<ReplyMsg>();
+    r->id = qid;
+    r->matching = records;
+    r->complete = true;
+    net.send(child, a, std::move(r));
+  }
+  net.run_until(net.now() + 600 * kSecond);
+  EXPECT_EQ(decode_fails(), bad.size());
+  EXPECT_FALSE(done);
+  EXPECT_EQ(node(a).active_queries(), 1u);
+
+  // The query is still waiting on its child: a well-formed reply ends it,
+  // and nothing from the dropped frames reached the result.
+  auto good = std::make_unique<ReplyMsg>();
+  good->id = qid;
+  good->matching = {{child, {75, 5}}};
+  good->complete = true;
+  net.send(child, a, std::move(good));
+  net.run_until(net.now() + 600 * kSecond);
+  ASSERT_TRUE(done);
+  ASSERT_EQ(result.size(), 2u);
+  EXPECT_EQ(result[1].id, child);
+  EXPECT_EQ(result[1].values, (Point{75, 5}));
+  EXPECT_EQ(decode_fails(), bad.size());
+}
+
+TEST_F(ProtocolMessagesTest, GossipDescriptorsThatWouldCorruptTheStoreDropped) {
+  NodeId peer = net.add_node(std::make_unique<SinkNode>());
+  NodeId a = add_node({5, 5});
+  const std::vector<PeerDescriptor> bad = {
+      {kInvalidNode, {15, 15}, {1, 1}, 0},  // id + 1 wraps the dense store
+      {500, {15, 15, 15}, {1, 1, 1}, 0},    // 3 values on a 2-d space
+      {501, {15}, {1}, 0},                  // 1 value on a 2-d space
+  };
+  for (const PeerDescriptor& d : bad) {
+    auto c = std::make_unique<CyclonShuffleMsg>();
+    c->entries.push_back(make_descriptor(space, peer, {45, 45}));
+    c->entries.push_back(d);
+    net.send(peer, a, std::move(c));
+    auto v = std::make_unique<VicinityExchangeMsg>();
+    v->entries.push_back(make_descriptor(space, peer, {45, 45}));
+    v->entries.push_back(d);
+    net.send(peer, a, std::move(v));
+  }
+  net.run_until(net.now() + 600 * kSecond);
+  EXPECT_EQ(decode_fails(), 2 * bad.size());
+  EXPECT_EQ(net.find_as<SinkNode>(peer)->received, 0);  // nothing answered
+  EXPECT_EQ(node(a).cyclon().view().size(), 0u);
+  EXPECT_EQ(node(a).vicinity().view().size(), 0u);
+  EXPECT_FALSE(store.contains(500));
+  EXPECT_FALSE(store.contains(501));
+  EXPECT_FALSE(store.contains(peer));
+
+  // The same exchange without the bad entry is absorbed and answered.
+  auto c = std::make_unique<CyclonShuffleMsg>();
+  c->entries.push_back(make_descriptor(space, peer, {45, 45}));
+  net.send(peer, a, std::move(c));
+  net.run_until(net.now() + 600 * kSecond);
+  EXPECT_EQ(decode_fails(), 2 * bad.size());
+  EXPECT_EQ(net.find_as<SinkNode>(peer)->received, 1);
+  EXPECT_TRUE(node(a).cyclon().view().contains(peer));
 }
 
 }  // namespace
