@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/options.h"
 #include "exp/bench_json.h"
@@ -31,9 +32,9 @@ struct Setup {
   std::uint64_t sigma = 50;
   std::size_t queries = 50;
   std::uint64_t seed = 1;
-  /// 0 = classic single-queue event loop; >= 1 enables sharded execution
-  /// (Grid::Config::shards). Outputs are identical at any value >= 1.
-  std::uint32_t shards = 0;
+  /// Simulator shards, in [1, 64] (Grid::Config::shards). Outputs are
+  /// identical at any value.
+  std::uint32_t shards = 1;
 };
 
 /// Reads the paper's Table 1 defaults, each overridable via environment:
@@ -48,8 +49,21 @@ inline Setup read_setup(std::size_t default_n, std::size_t default_queries = 50)
   s.sigma = option_u64("SIGMA", 50);
   s.queries = option_u64("QUERIES", default_queries);
   s.seed = option_u64("SEED", 1);
-  s.shards = static_cast<std::uint32_t>(option_u64("SHARDS", 0));
+  s.shards = static_cast<std::uint32_t>(option_u64("SHARDS", 1));
   return s;
+}
+
+/// Drops sweep points wider than kMaxDimensions, with a note on stderr:
+/// Point/CellCoord store elements inline, so the paper's d=20 points are
+/// skipped rather than aborting mid-sweep (raise kMaxDimensions in
+/// common/types.h to go wider).
+inline void drop_unsupported_dims(const char* bench, std::vector<int>& dims) {
+  std::erase_if(dims, [bench](int d) {
+    if (static_cast<std::size_t>(d) <= kMaxDimensions) return false;
+    std::fprintf(stderr, "%s: skipping d=%d (> kMaxDimensions=%zu)\n", bench, d,
+                 kMaxDimensions);
+    return true;
+  });
 }
 
 inline std::uint32_t sigma_of(const Setup& s) {

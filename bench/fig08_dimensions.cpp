@@ -47,16 +47,8 @@ int main() {
       {"PeerSim setup", s.n, "wan"},
       {"DAS setup", option_u64("DAS_N", 1000), "lan"},
   };
-  // The paper sweeps to d=20; Point/CellCoord store elements inline with
-  // capacity kMaxDimensions, so wider points are skipped rather than
-  // aborting mid-sweep (raise kMaxDimensions in common/types.h to go wider).
   std::vector<int> dims{2, 4, 6, 8, 10, 12, 16, 20};
-  std::erase_if(dims, [](int d) {
-    if (static_cast<std::size_t>(d) <= kMaxDimensions) return false;
-    std::fprintf(stderr, "fig08: skipping d=%d (> kMaxDimensions=%zu)\n", d,
-                 kMaxDimensions);
-    return true;
-  });
+  drop_unsupported_dims("fig08", dims);
   // Enough repetitions that interpolated p95 and p99 separate.
   const std::size_t reps = option_u64("QUERIES", 50);
 

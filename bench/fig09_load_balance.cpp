@@ -13,6 +13,8 @@
 /// The four measurements (two placements, ours-vs-DHT) are independent jobs
 /// run on ARES_THREADS workers; all output is emitted in order afterwards.
 
+#include <numeric>
+
 #include "bench_common.h"
 #include "dht/sword.h"
 
@@ -22,17 +24,24 @@ using namespace ares;
 using namespace ares::bench;
 
 /// One parallel job's result: panel (a) jobs fill `hist_row`, panel (b)
-/// jobs fill `received`.
+/// jobs fill `received`. `load` is the job's measured message total.
 struct JobOut {
   std::vector<std::string> hist_row;
   std::vector<std::uint64_t> received;
+  std::uint64_t load = 0;
   SimTotals totals;
 };
 
-JobOut run_ours_panel(const char* dist, std::size_t n, std::uint64_t seed) {
+std::uint64_t sum(const std::vector<std::uint64_t>& v) {
+  return std::accumulate(v.begin(), v.end(), std::uint64_t{0});
+}
+
+JobOut run_ours_panel(const char* dist, std::size_t n, std::uint64_t seed,
+                      std::uint32_t shards) {
   Setup s;
   s.n = n;
   s.seed = seed;
+  s.shards = shards;
   s.queries = option_u64("QUERIES", 20);
   auto grid = make_oracle_grid(s, "wan", dist, /*track_visited=*/false);
   Rng rng(seed);
@@ -41,6 +50,7 @@ JobOut run_ours_panel(const char* dist, std::size_t n, std::uint64_t seed) {
   auto load = exp::measure_load(*grid, queries, 50, origins);
   auto h = exp::percent_of_max_histogram(load.sent);
   JobOut out;
+  out.load = sum(load.sent);
   out.hist_row.push_back(dist);
   for (std::size_t b = 0; b < h.bucket_count(); ++b)
     out.hist_row.push_back(exp::fmt(100.0 * h.fraction(b), 1));
@@ -69,9 +79,10 @@ RangeQuery resource_query(const std::vector<Point>& profiles, double f, Rng& rng
 
 JobOut run_ours_dht_panel(const std::vector<Point>& profiles,
                           const AttributeSpace& space16, std::size_t qcount,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, std::uint32_t shards) {
   Grid::Config cfg{.space = space16};
   cfg.nodes = 0;
+  cfg.shards = shards;
   cfg.oracle = false;  // populated manually below, then bootstrapped
   cfg.latency = "lan";
   cfg.seed = seed;
@@ -86,19 +97,22 @@ JobOut run_ours_dht_panel(const std::vector<Point>& profiles,
     queries.push_back(resource_query(profiles, 0.125, qrng));
   JobOut out;
   out.received = exp::measure_load(grid, queries, 50, 1).received;
+  out.load = sum(out.received);
   out.totals = totals_of(grid);
   return out;
 }
 
 JobOut run_dht_panel(const std::vector<Point>& profiles, double f,
                      std::uint32_t sigma, std::size_t query_count,
-                     std::uint64_t seed) {
-  Simulator sim(seed);
-  Network net(sim, make_lan_latency());
+                     std::uint64_t seed, std::uint32_t shards) {
+  auto latency = make_lan_latency();
+  Simulator sim(seed, shards, latency->min_latency());
+  Network net(sim, std::move(latency));
   std::vector<NodeId> ids;
   for (std::size_t i = 0; i < profiles.size(); ++i)
     ids.push_back(net.add_node(
-        std::make_unique<ChordNode>(ring_hash_node(static_cast<NodeId>(i)))));
+        std::make_unique<ChordNode>(ring_hash_node(static_cast<NodeId>(i))),
+        static_cast<std::uint32_t>(i % shards)));
   build_ring(net);
 
   // Publish every node's profile (one record per dimension), then drain and
@@ -106,10 +120,10 @@ JobOut run_dht_panel(const std::vector<Point>& profiles, double f,
   for (std::size_t i = 0; i < profiles.size(); ++i)
     sword_publish(*net.find_as<ChordNode>(ids[i]), ids[i], profiles[i]);
   sim.run();
-  net.stats().set_load_filter([](const Message& m) {
+  net.set_load_filter([](const Message& m) {
     return std::string_view(m.type_name()).starts_with("dht.");
   });
-  net.stats().reset_node_load();
+  net.reset_node_load();
 
   Rng rng(seed + 1);
   std::vector<std::shared_ptr<SwordQuery>> live;
@@ -126,6 +140,7 @@ JobOut run_dht_panel(const std::vector<Point>& profiles, double f,
   }
   JobOut out;
   out.received = net.stats().load_received_by_node();
+  out.load = sum(out.received);
   out.totals = totals_of(sim);
   return out;
 }
@@ -155,10 +170,10 @@ int main() {
   for (std::size_t i = 0; i < das_n; ++i) profiles.push_back(gen(prof_rng));
 
   std::vector<std::function<JobOut()>> jobs{
-      [&] { return run_ours_panel("uniform", s.n, s.seed); },
-      [&] { return run_ours_panel("normal", s.n, s.seed + 1); },
-      [&] { return run_ours_dht_panel(profiles, space16, qcount, s.seed); },
-      [&] { return run_dht_panel(profiles, 0.125, 50, qcount, s.seed + 11); },
+      [&] { return run_ours_panel("uniform", s.n, s.seed, s.shards); },
+      [&] { return run_ours_panel("normal", s.n, s.seed + 1, s.shards); },
+      [&] { return run_ours_dht_panel(profiles, space16, qcount, s.seed, s.shards); },
+      [&] { return run_dht_panel(profiles, 0.125, 50, qcount, s.seed + 11, s.shards); },
   };
   const std::size_t threads = exp::resolve_threads(jobs.size());
   exp::BenchReport report("fig09_load_balance");
@@ -222,5 +237,15 @@ int main() {
   exp::print_histogram("DHT:  % of nodes per percent-of-max bucket",
                        exp::percent_of_max_histogram(dht_recv));
   report.write();
-  return 0;
+
+  // A panel with no measured query traffic means the load counters were
+  // lost, not that the load is balanced.
+  const char* names[] = {"(a) uniform", "(a) normal", "(b) ours", "(b) DHT"};
+  int rc = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].load > 0) continue;
+    std::cerr << "FAIL: panel " << names[i] << " measured zero query load\n";
+    rc = 1;
+  }
+  return rc;
 }

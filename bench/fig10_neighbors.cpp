@@ -64,7 +64,8 @@ int main() {
   print_setup(s);
   const SimTime convergence = from_seconds(option_double("CONVERGENCE_S", 600));
 
-  const std::vector<int> dim_points{2, 4, 6, 8, 12, 16, 20};
+  std::vector<int> dim_points{2, 4, 6, 8, 12, 16, 20};
+  drop_unsupported_dims("fig10", dim_points);
   std::vector<TrialConfig> configs;
   for (int d : dim_points)
     configs.push_back({d, "uniform", s.seed + static_cast<std::uint64_t>(d)});

@@ -27,11 +27,12 @@ struct PanelResult {
   SimTotals totals;
 };
 
-PanelResult run_panel(const PanelConfig& c, double selectivity) {
+PanelResult run_panel(const PanelConfig& c, double selectivity, std::uint32_t shards) {
   Setup s;
   s.n = c.n;
   s.seed = c.seed;
   s.selectivity = selectivity;
+  s.shards = shards;
   // Paper-faithful protocol: T(q) timeout, a single link per subcell (no
   // backup alternates) — recovery comes from gossip repair alone.
   auto grid = make_gossip_grid(s, from_seconds(option_double("CONVERGENCE_S", 300)),
@@ -82,8 +83,8 @@ int main() {
 
   auto results = exp::run_trials(
       panels,
-      [selectivity](const PanelConfig& c, std::size_t) {
-        return run_panel(c, selectivity);
+      [selectivity, shards = s.shards](const PanelConfig& c, std::size_t) {
+        return run_panel(c, selectivity, shards);
       },
       threads);
 

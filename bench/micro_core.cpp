@@ -85,10 +85,11 @@ BENCHMARK(BM_QueryToRegion);
 void BM_EventQueue(benchmark::State& state) {
   EventQueue q;
   Rng rng(1);
+  std::uint64_t key = 0;
   for (int i = 0; i < 1000; ++i)
-    q.push(static_cast<SimTime>(rng.below(1'000'000)), [] {});
+    q.push_keyed(static_cast<SimTime>(rng.below(1'000'000)), key++, [] {});
   for (auto _ : state) {
-    q.push(static_cast<SimTime>(rng.below(1'000'000)), [] {});
+    q.push_keyed(static_cast<SimTime>(rng.below(1'000'000)), key++, [] {});
     q.pop()();
   }
 }

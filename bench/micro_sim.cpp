@@ -7,9 +7,11 @@
 ///      a 32-byte capture, which UniqueAction stores inline.
 ///   2. message delivery steady state — a two-node ping-pong through the
 ///      full Simulator/Network/latency/stats stack with a pooled message
-///      type. The process-wide operator new counter must show ZERO
-///      allocations per delivered message once warm; the binary exits
-///      nonzero otherwise (CI regression gate).
+///      type, on the S=1 engine: every delivery carries its event key and
+///      draws its latency from a keyed per-message stream. The process-wide
+///      operator new counter must show ZERO allocations per delivered
+///      message once warm; the binary exits nonzero otherwise (CI
+///      regression gate).
 ///   3. one Vicinity exchange (subset_for + select_best) — the gossip
 ///      selection hot path over reused flat scratch vectors.
 ///
@@ -82,9 +84,10 @@ MicroResult bench_queue(std::uint64_t ops) {
   std::vector<SimTime> times(1 << 16);
   for (auto& t : times) t = static_cast<SimTime>(rng.below(1'000'000));
   std::size_t ti = 0;
+  std::uint64_t key = 0;
   auto push_one = [&] {
     Payload p{static_cast<std::uint64_t>(times[ti]), 1, 2, 3};
-    q.push(times[ti], [p] { sink += p.a + p.b; });
+    q.push_keyed(times[ti], key++, [p] { sink += p.a + p.b; });
     ti = (ti + 1) & (times.size() - 1);
   };
   for (int i = 0; i < 1024; ++i) push_one();          // steady-state backlog

@@ -7,8 +7,9 @@
 /// entry node uses the selection service to find sigma candidate machines
 /// whose attributes match the job, claims free slots via each machine's
 /// dynamic "free slots" attribute, runs the job for its duration, and
-/// releases the slots. We measure placement success and queue behavior
-/// under contention.
+/// releases the slots; a job that finds too few free slots retries from the
+/// same entry node. We measure placement success and queue behavior under
+/// contention.
 
 #include <deque>
 #include <iostream>
@@ -31,24 +32,30 @@ class Scheduler {
  public:
   Scheduler(Grid& grid, int max_retries) : grid_(grid), max_retries_(max_retries) {}
 
-  void submit(Job job) { try_place(std::move(job), 0); }
+  void submit(const Job& job) { try_place(job, 0, grid_.random_node()); }
 
   int placed = 0, failed = 0, retried = 0;
 
  private:
-  void try_place(Job job, int attempt) {
+  void try_place(const Job& job, int attempt, NodeId entry) {
     // Ask the overlay for more candidates than tasks: some may be claimed
-    // concurrently by other entry nodes (no coordination!).
-    NodeId entry = grid_.random_node();
+    // concurrently by other entry nodes (no coordination!). The callback
+    // takes a copy of the job: argument evaluation order is unspecified, so
+    // a job moved into it could be emptied before submit() reads
+    // job.requirements.
     std::uint32_t want = job.tasks * 2;
     grid_.node(entry).submit(
         job.requirements, want,
-        [this, job = std::move(job), attempt](const std::vector<MatchRecord>& found) {
-          claim(job, attempt, found);
+        [this, job, attempt, entry](const std::vector<MatchRecord>& found) {
+          claim(job, attempt, entry, found);
         });
   }
 
-  void claim(const Job& job, int attempt, const std::vector<MatchRecord>& found) {
+  // Runs inside the entry node's query callback, so its follow-ups are
+  // timers on that node: coordinator events (Simulator::schedule_at) may
+  // only be scheduled from outside node code.
+  void claim(const Job& job, int attempt, NodeId entry,
+             const std::vector<MatchRecord>& found) {
     std::vector<NodeId> claimed;
     for (const auto& m : found) {
       if (claimed.size() >= job.tasks) break;
@@ -65,9 +72,9 @@ class Scheduler {
       for (NodeId id : claimed) release(id);
       if (attempt < max_retries_) {
         ++retried;
-        Job j = job;
-        grid_.sim().schedule_after(5 * kSecond,
-                                   [this, j, attempt] { try_place(j, attempt + 1); });
+        grid_.net().node_timer(entry, 5 * kSecond, [this, job, attempt, entry] {
+          try_place(job, attempt + 1, entry);
+        });
       } else {
         ++failed;
       }
@@ -75,7 +82,7 @@ class Scheduler {
     }
     ++placed;
     // Run the job: release slots when it finishes.
-    grid_.sim().schedule_after(job.duration, [this, claimed] {
+    grid_.net().node_timer(entry, job.duration, [this, claimed] {
       for (NodeId id : claimed) release(id);
     });
   }

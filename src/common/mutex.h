@@ -53,7 +53,7 @@ namespace ares {
 namespace lockrank {
 /// exp/parallel.cpp — first-exception slot of the trial worker pool.
 inline constexpr int kParallelPool = 10;
-/// sim/sharded.h — ShardEngine window-barrier handshake.
+/// sim/simulator.h — the shard worker pool's window-barrier handshake.
 inline constexpr int kShardPool = 20;
 /// core/query_stats.h — per-query observer accounting.
 inline constexpr int kQueryStats = 30;

@@ -11,7 +11,7 @@
 ///     "name": "fig06_network_size",
 ///     "schema_version": 5,
 ///     "threads": 8,                  // worker threads used for the sweep
-///     "shards": 0,                   // ARES_SHARDS (0 = classic event loop)
+///     "shards": 1,                   // ARES_SHARDS (simulator shards, 1-64)
 ///     "backend": "sim",              // "sim" (in-process event loop) or
 ///                                    // "udp" (real processes over sockets)
 ///     "processes": 1,                // OS processes driving the run
@@ -99,7 +99,7 @@ class BenchReport {
   /// Records the worker-thread count used for the sweep.
   void set_threads(std::size_t threads) { threads_ = threads; }
 
-  /// Records the per-simulation shard count (0 = classic event loop).
+  /// Records the per-simulation shard count.
   void set_shards(std::uint32_t shards) { shards_ = shards; }
 
   /// Records which runtime backend executed the run ("sim" by default,
@@ -131,7 +131,7 @@ class BenchReport {
   std::string name_;
   std::chrono::steady_clock::time_point start_;
   std::size_t threads_ = 1;
-  std::uint32_t shards_ = 0;
+  std::uint32_t shards_ = 1;
   std::string backend_ = "sim";
   std::uint64_t processes_ = 1;
   double fault_loss_ = 0.0;

@@ -115,7 +115,7 @@ std::vector<std::vector<NodeId>> deployment_ground_truth(const DeployConfig& cfg
 BackendRun run_deployment(const DeployConfig& cfg);
 
 /// The same scenario on the discrete-event simulator (oracle bootstrap +
-/// live gossip, LAN latency, classic engine).
+/// live gossip, LAN latency, one simulator shard).
 BackendRun run_sim_mirror(const DeployConfig& cfg);
 
 /// Number of queries whose outcome disagrees with ground truth (incomplete,

@@ -99,21 +99,23 @@ std::vector<DeliveryPoint> delivery_timeline(
 
 LoadResult measure_load(Grid& grid, const std::vector<RangeQuery>& queries,
                         std::uint32_t sigma, std::size_t origins_per_query) {
-  NetworkStats& ns = grid.net().stats();
-  ns.set_load_filter([](const Message& m) {
+  Network& net = grid.net();
+  net.set_load_filter([](const Message& m) {
     std::string_view t = m.type_name();
     return t.starts_with("select.");
   });
-  ns.reset_node_load();
+  net.reset_node_load();
 
   for (const auto& q : queries)
     for (std::size_t i = 0; i < origins_per_query; ++i)
       grid.run_query(grid.random_node(), q, sigma);
 
+  // Read after the run: stats() folds in what the shard drains counted.
+  const NetworkStats& ns = net.stats();
   LoadResult out;
   out.sent = ns.load_sent_by_node();
   out.received = ns.load_received_by_node();
-  ns.set_load_filter(nullptr);
+  net.set_load_filter(nullptr);
   return out;
 }
 

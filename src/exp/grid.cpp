@@ -23,24 +23,14 @@ std::unique_ptr<LatencyModel> latency_from_name(const std::string& name,
 Grid::Grid(Config cfg, PointGenerator generator)
     : cfg_(std::move(cfg)),
       generator_(std::move(generator)),
-      sim_(std::make_unique<Simulator>(cfg_.seed)),
       store_(std::make_unique<DescriptorStore>(cfg_.space)),
       stats_(std::make_unique<QueryStats>(cfg_.track_visited)),
       node_seeder_(cfg_.seed ^ 0xA5A5A5A5ULL) {
   assert(generator_ != nullptr);
   auto latency = latency_from_name(cfg_.latency, cfg_.seed);
-  if (cfg_.shards > 0) {
-    // The latency floor is the lookahead window: every message crosses a
-    // window barrier, which is what makes the sharded drain deterministic.
-    if (!latency->concurrent_safe())
-      throw std::invalid_argument("Grid: latency model '" + cfg_.latency +
-                                  "' cannot run under sharded execution");
-    const SimTime window = latency->min_latency();
-    if (window <= 0)
-      throw std::invalid_argument(
-          "Grid: sharded execution needs a positive latency floor");
-    sim_->enable_sharding(cfg_.shards, window);
-  }
+  // The latency floor is the lookahead window: every message crosses a
+  // window barrier, which is what makes the sharded drain deterministic.
+  sim_ = std::make_unique<Simulator>(cfg_.seed, cfg_.shards, latency->min_latency());
   net_ = std::make_unique<Network>(*sim_, std::move(latency));
   store_->reserve(cfg_.nodes);
   if (cfg_.trace_queries) tracer_ = std::make_unique<QueryTracer>(stats_.get());
@@ -76,9 +66,8 @@ std::vector<PeerDescriptor> Grid::sample_introducers(std::size_t k) {
 }
 
 NodeId Grid::add_node(Point values) {
-  std::uint32_t shard = 0;
-  if (cfg_.shards > 0)
-    shard = shard_of_coord(cfg_.space, cfg_.space.coord_of(values), cfg_.shards);
+  const std::uint32_t shard =
+      shard_of_coord(cfg_.space, cfg_.space.coord_of(values), cfg_.shards);
   return net_->add_node(make_node(std::move(values)), shard);
 }
 

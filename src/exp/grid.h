@@ -53,12 +53,12 @@ class Grid {
     /// Record full dissemination trees (see QueryTracer); costs memory per
     /// query, so off by default.
     bool trace_queries = false;
-    /// 0 = classic single-queue event loop (byte-identical to the pre-shard
-    /// engine). >= 1 partitions nodes by cell-prefix (shard_of_coord) into
-    /// this many shards, each drained by a worker thread inside
-    /// lookahead-window barriers; outputs are byte-identical at ANY shard
-    /// count (see DESIGN.md §"Sharded execution").
-    std::uint32_t shards = 0;
+    /// Simulator shards, in [1, 64]: nodes are partitioned by cell prefix
+    /// (shard_of_coord) and drained inside lookahead-window barriers, by a
+    /// worker thread per shard when S > 1. Outputs are byte-identical at ANY
+    /// shard count (see DESIGN.md §8). Out of range throws
+    /// std::invalid_argument.
+    std::uint32_t shards = 1;
   };
 
   Grid(Config cfg, PointGenerator generator);

@@ -132,8 +132,8 @@ class Vicinity {
 
   // Reused per-exchange scratch; see the allocation notes in the history of
   // this file. Mutable because the selection functions are conceptually
-  // const; a node's events run on one thread at a time (classic loop or its
-  // shard's worker), so no synchronization.
+  // const; a node's events run on one thread at a time (its shard's drain),
+  // so no synchronization.
   /// Sort entries carry their keys inline: comparators touch only the entry
   /// itself. hi = (level << 5) | (dim + 1), lo = (age << 32) | id: one
   /// (hi, lo) comparison is the old (level, dim, age, id) lexicographic

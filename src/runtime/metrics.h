@@ -79,7 +79,7 @@ class Metrics {
   std::vector<std::string> counter_names() const;
 
   /// Pre-sizes every counter's per-node vector for node ids < n. The
-  /// sharded simulator (sim/sharded.h) runs node code on shard workers,
+  /// sharded simulator (sim/simulator.h) runs node code on shard workers,
   /// where inc()'s lazy grow would race; backends call this on every join
   /// so worker-phase increments are plain writes to pre-existing rows.
   void reserve_nodes(std::size_t n);

@@ -6,20 +6,6 @@
 
 namespace ares {
 
-void EventQueue::push(SimTime t, Action action, NodeId owner) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    slots_[slot] = std::move(action);
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(action));
-  }
-  heap_.push_back(Key{t, next_seq_++, slot, owner});
-  std::push_heap(heap_.begin(), heap_.end());
-}
-
 void EventQueue::push_keyed(SimTime t, std::uint64_t seq, Action action,
                             NodeId owner) {
   std::uint32_t slot;
@@ -43,12 +29,6 @@ EventQueue::Action EventQueue::pop() {
   Action a = std::move(slots_[k.slot]);  // leaves the slot empty
   free_.push_back(k.slot);
   return a;
-}
-
-void EventQueue::reserve(std::size_t n) {
-  heap_.reserve(n);
-  slots_.reserve(n);
-  free_.reserve(n);
 }
 
 }  // namespace ares

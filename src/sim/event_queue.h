@@ -1,14 +1,16 @@
 #pragma once
 
 /// \file event_queue.h
-/// Min-heap of timestamped events. Ties are broken by insertion sequence so
-/// the simulation is fully deterministic.
+/// Min-heap of timestamped events, ordered by (time, key). The caller
+/// supplies the tie-break key; the simulator derives it from (source node,
+/// per-source counter), which keeps the drain order a pure function of the
+/// event set (sim/simulator.h).
 ///
 /// Two layers keep the hot path cheap:
 ///   - Actions are UniqueAction (move-only, small-buffer) rather than
 ///     std::function: message-delivery and timer closures stay
 ///     allocation-free.
-///   - The heap orders 24-byte POD keys (time, seq, slot, owner) while the
+///   - The heap orders 24-byte POD keys (time, key, slot, owner) while the
 ///     actions themselves sit in a stable slot arena. Sift-up/down during
 ///     push_heap/pop_heap then moves trivial keys instead of 70-byte events
 ///     (each of whose moves would be an indirect relocate call), so an
@@ -16,8 +18,8 @@
 ///
 /// Owner-guarded events: a push may carry the NodeId whose liveness gates
 /// execution (incarnation-safe timers). The owner rides in the key's former
-/// padding bytes — the key stays 24 bytes — and the executor (Simulator /
-/// ShardEngine) probes liveness at pop time. This is what lets
+/// padding bytes — the key stays 24 bytes — and the executor (Simulator)
+/// probes liveness at pop time. This is what lets
 /// Runtime::node_timer() move a caller's UniqueAction straight into the heap
 /// with no wrapper closure: nesting one UniqueAction inside another can
 /// never fit the inline buffer (the inner object is already kInline+8
@@ -36,17 +38,11 @@ class EventQueue {
   using Action = UniqueAction;
 
   /// Enqueues an action at absolute time `t` (must not precede earlier pops'
-  /// times; enforced by the Simulator, not here). `owner` != kInvalidNode
+  /// times; enforced by the Simulator, not here) with tie-break key `seq`;
+  /// equal (t, seq) pairs pop in unspecified order. `owner` != kInvalidNode
   /// marks an owner-guarded event: the executor skips the invoke when the
   /// owner has left the runtime by pop time (the action is still popped and
   /// counted, so drain order is identical either way).
-  void push(SimTime t, Action action, NodeId owner = kInvalidNode);
-
-  /// Enqueues with a caller-supplied tie-break key instead of the internal
-  /// insertion counter. The sharded engine (sim/sharded.h) derives keys from
-  /// (source node, per-source counter), which makes the drain order of
-  /// merged cross-shard mailboxes independent of the shard count. Do not mix
-  /// with push() on the same queue — the two key spaces are unrelated.
   void push_keyed(SimTime t, std::uint64_t seq, Action action,
                   NodeId owner = kInvalidNode);
 
@@ -62,9 +58,6 @@ class EventQueue {
 
   /// Removes and returns the earliest event's action. Precondition: !empty().
   Action pop();
-
-  /// Pre-sizes the containers (the benchmarks know their event volume).
-  void reserve(std::size_t n);
 
  private:
   struct Key {
@@ -84,7 +77,6 @@ class EventQueue {
   std::vector<Key> heap_;
   std::vector<Action> slots_;        // arena; index = Key::slot
   std::vector<std::uint32_t> free_;  // recycled arena indices
-  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace ares

@@ -10,20 +10,11 @@ CoordinateLatency::CoordinateLatency(SimTime base, SimTime scale, SimTime jitter
                                      std::uint64_t seed)
     : base_(base), scale_(scale), jitter_(jitter), seed_(seed) {}
 
-CoordinateLatency::Coord CoordinateLatency::coord(NodeId id) {
-  if (id >= coords_.size()) {
-    coords_.resize(id + 1);
-    have_.resize(id + 1, false);
-  }
-  if (!have_[id]) {
-    // Deterministic per-id coordinates, independent of query order.
-    std::uint64_t h = hash_mix(seed_, id);
-    std::uint64_t h2 = hash_mix(h, 0xABCDULL);
-    coords_[id] = {static_cast<double>(h >> 11) * 0x1.0p-53,
-                   static_cast<double>(h2 >> 11) * 0x1.0p-53};
-    have_[id] = true;
-  }
-  return coords_[id];
+CoordinateLatency::Coord CoordinateLatency::coord(NodeId id) const {
+  const std::uint64_t h = hash_mix(seed_, id);
+  const std::uint64_t h2 = hash_mix(h, 0xABCDULL);
+  return {static_cast<double>(h >> 11) * 0x1.0p-53,
+          static_cast<double>(h2 >> 11) * 0x1.0p-53};
 }
 
 SimTime CoordinateLatency::sample(Rng& rng, NodeId from, NodeId to) {

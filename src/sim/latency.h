@@ -8,7 +8,6 @@
 ///     pairs have stable heterogeneous latencies plus jitter.
 
 #include <memory>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -22,16 +21,10 @@ class LatencyModel {
   /// One-way latency for a message from `from` to `to`.
   virtual SimTime sample(Rng& rng, NodeId from, NodeId to) = 0;
 
-  /// Smallest value sample() can ever return. This is the sharded engine's
-  /// lookahead window Δ (sim/sharded.h): a message always lands past the
-  /// window barrier that produced it. Sharded runs require > 0; the default
-  /// (0) marks a model unusable for sharding.
-  virtual SimTime min_latency() const { return 0; }
-
-  /// Whether sample() may be called concurrently from shard workers (with
-  /// distinct Rng instances). Models with lazily grown internal caches must
-  /// return false.
-  virtual bool concurrent_safe() const { return true; }
+  /// Smallest value sample() can ever return: the simulator's lookahead
+  /// window Δ (sim/simulator.h), so a message always lands past the window
+  /// barrier that produced it. Must be > 0.
+  virtual SimTime min_latency() const = 0;
 };
 
 /// Fixed latency for every message.
@@ -60,8 +53,9 @@ class UniformLatency final : public LatencyModel {
 };
 
 /// Stable pairwise latency derived from per-node virtual plane coordinates:
-/// latency(a,b) = base + distance(a,b) * scale + jitter. Node coordinates are
-/// drawn lazily (deterministically per node id), so any id may appear.
+/// latency(a,b) = base + distance(a,b) * scale + jitter. A node's coordinates
+/// are a pure function of (seed, id), recomputed on every sample, so any id
+/// may appear and shard workers may sample concurrently.
 class CoordinateLatency final : public LatencyModel {
  public:
   /// \param base minimum one-way latency
@@ -71,20 +65,15 @@ class CoordinateLatency final : public LatencyModel {
 
   SimTime sample(Rng& rng, NodeId from, NodeId to) override;
   SimTime min_latency() const override { return base_; }
-  /// The per-node coordinate cache grows lazily on sample() — not safe to
-  /// share across shard workers.
-  bool concurrent_safe() const override { return false; }
 
  private:
   struct Coord {
     double x, y;
   };
-  Coord coord(NodeId id);
+  Coord coord(NodeId id) const;
 
   SimTime base_, scale_, jitter_;
   std::uint64_t seed_;
-  std::vector<Coord> coords_;
-  std::vector<bool> have_;
 };
 
 /// Factory helpers matching the experiment setups.

@@ -11,27 +11,23 @@ namespace ares {
 Network::Network(Simulator& sim, std::unique_ptr<LatencyModel> latency)
     : sim_(sim),
       latency_(std::move(latency)),
+      shard_stats_(sim.shards()),
       latency_seed_(hash_mix(sim.seed(), 0x4C415443ULL /* "LATC" */)),
       m_wire_decode_fail_(metrics().counter("wire.decode_fail")),
       m_wire_encode_fail_(metrics().counter("wire.encode_fail")),
       m_wire_bytes_saved_(metrics().counter("wire.bytes_delta_saved")) {
   assert(latency_ != nullptr);
+  assert(latency_->min_latency() >= sim_.window() &&
+         "latency floor below the lookahead window");
   // Owner-guarded timers (node_timer) consult this at execution time; the
   // membership map is coordinator-mutated only, so the read is worker-safe.
   sim_.set_liveness([this](NodeId id) { return alive(id); });
-  if (ShardEngine* eng = sim_.shard_engine()) {
-    assert(latency_->concurrent_safe() &&
-           "latency model unsafe under concurrent shard workers");
-    assert(latency_->min_latency() >= eng->window() &&
-           "latency floor below the lookahead window");
-    shard_stats_.resize(eng->shards());
-  }
 }
 
 Network::~Network() = default;
 
-NetworkStats& Network::stats() {
-  assert(ShardEngine::current_shard() < 0);
+const NetworkStats& Network::stats() {
+  assert(Simulator::current_shard() < 0);
   for (NetworkStats& s : shard_stats_) stats_.absorb(s);
   return stats_;
 }
@@ -41,21 +37,20 @@ void Network::set_load_filter(NetworkStats::LoadFilter f) {
   stats_.set_load_filter(std::move(f));
 }
 
-NetworkStats& Network::stats_sink() {
-  const int s = ShardEngine::current_shard();
-  return s < 0 ? stats_ : shard_stats_[static_cast<std::size_t>(s)];
+void Network::reset_node_load() {
+  for (NetworkStats& s : shard_stats_) s.reset_node_load();
+  stats_.reset_node_load();
 }
 
-NodeId Network::add_node(std::unique_ptr<Node> node) { return add_node(std::move(node), 0); }
+NetworkStats& Network::stats_sink() {
+  const int s = Simulator::current_shard();
+  return s < 0 ? stats_ : shard_stats_[static_cast<std::size_t>(s)];
+}
 
 NodeId Network::add_node(std::unique_ptr<Node> node, std::uint32_t shard) {
   assert(node != nullptr && !node->attached());
   NodeId id = next_id_++;
-  if (ShardEngine* eng = sim_.shard_engine()) {
-    eng->set_node_shard(id, shard);
-  } else {
-    assert(shard == 0 && "shard placement needs a sharded simulator");
-  }
+  sim_.set_node_shard(id, shard);
   // Worker-phase metric bumps index into per-counter vectors; growing them
   // lazily there would race, so the registry is pre-sized on every join
   // (amortized O(1) per node).
@@ -119,38 +114,22 @@ void Network::send(NodeId from, NodeId to, MessagePtr m) {
     m = std::move(rc.msg);
   }
   stats_sink().on_send(from, *m);
-  if (ShardEngine* eng = sim_.shard_engine()) {
-    // Keyed delivery: the event key orders the destination's history
-    // independently of the shard count, and the latency draw comes from a
-    // per-message stream derived from (seed, key, dst) — sharing the
-    // simulator Rng across shards would tie the draw sequence to the drain
-    // interleaving.
-    const std::uint64_t key = eng->alloc_key(from);
-    Rng lat_rng(hash_mix(hash_mix(latency_seed_, key), to));
-    const SimTime latency = latency_->sample(lat_rng, from, to);
-    eng->schedule(to, key, eng->now() + latency,
-                  [this, from, to, msg = std::move(m)] {
-                    Node* dst = find(to);
-                    NetworkStats& st = stats_sink();
-                    if (dst == nullptr) {
-                      st.on_drop(*msg);
-                      return;
-                    }
-                    st.on_deliver(to, *msg);
-                    dst->on_message(from, *msg);
-                  });
-    return;
-  }
-  SimTime latency = latency_->sample(sim_.rng(), from, to);
-  // Ownership moves straight into the (move-only, small-buffer) event
-  // closure: no shared_ptr control block, no closure heap allocation.
-  sim_.schedule_after(latency, [this, from, to, msg = std::move(m)] {
+  // Keyed delivery: the event key orders the destination's history
+  // independently of the shard count, and the latency draw comes from a
+  // per-message stream derived from (seed, key, dst) — a shared Rng would
+  // tie the draw sequence to the drain interleaving. Ownership of the
+  // message moves straight into the (move-only, small-buffer) event closure.
+  const std::uint64_t key = sim_.alloc_key(from);
+  Rng lat_rng(hash_mix(hash_mix(latency_seed_, key), to));
+  const SimTime latency = latency_->sample(lat_rng, from, to);
+  sim_.schedule(to, key, sim_.now() + latency, [this, from, to, msg = std::move(m)] {
     Node* dst = find(to);
+    NetworkStats& st = stats_sink();
     if (dst == nullptr) {
-      stats_.on_drop(*msg);
+      st.on_drop(*msg);
       return;
     }
-    stats_.on_deliver(to, *msg);
+    st.on_deliver(to, *msg);
     dst->on_message(from, *msg);
   });
 }

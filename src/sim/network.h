@@ -11,12 +11,12 @@
 /// program against runtime/runtime.h only. Network is what the experiment
 /// layer (exp/grid.h) and the benchmarks instantiate.
 ///
-/// Sharded transport (Simulator::enable_sharding): deliveries are keyed
-/// events routed to the destination node's shard, per-message latency is
-/// drawn from a hash-derived stream (seeded by (sim seed, event key, dst) —
-/// the shared simulator Rng would make draws depend on the drain
-/// interleaving), and traffic accounting goes to per-shard NetworkStats
-/// instances that stats() folds together on access.
+/// Transport on the sharded simulator: deliveries are keyed events routed
+/// to the destination node's shard, per-message latency is drawn from a
+/// hash-derived stream (seeded by (sim seed, event key, dst) — a shared Rng
+/// would make draws depend on the drain interleaving), and traffic
+/// accounting goes to per-shard NetworkStats instances that stats() folds
+/// together on access.
 
 #include <memory>
 #include <unordered_map>
@@ -39,15 +39,18 @@ class Network final : public Runtime {
 
   Simulator& sim() { return sim_; }
 
-  /// Aggregated traffic counters. In sharded mode this folds the per-shard
-  /// instances into the base instance (coordinator-only; call between
-  /// windows, never from node code).
-  NetworkStats& stats();
+  /// Aggregated traffic counters: folds the per-shard instances into the
+  /// base instance (coordinator-only; call between windows, never from node
+  /// code). Read-only: per-node load is configured through the two calls
+  /// below, which reach every instance.
+  const NetworkStats& stats();
 
   /// Installs the per-node load predicate on every stats instance (the
-  /// per-shard copies included — setting it on stats() alone would miss
-  /// traffic counted by shard workers).
+  /// per-shard copies included — drains count traffic there).
   void set_load_filter(NetworkStats::LoadFilter f);
+
+  /// Clears the per-node load counters of every stats instance.
+  void reset_node_load();
 
   // -- Runtime contract ----------------------------------------------------
   SimTime now() const override { return sim_.now(); }
@@ -62,13 +65,10 @@ class Network final : public Runtime {
   void node_timer(NodeId id, SimTime delay, UniqueAction fn) override;
 
   // -- membership ----------------------------------------------------------
-  /// Adds a node: assigns the next NodeId, attaches it, and calls start().
-  /// The node lands in shard 0 under a sharded simulator.
-  NodeId add_node(std::unique_ptr<Node> node);
-
-  /// As above, but places the node in `shard` (sharded simulator only; the
-  /// Grid derives the shard from the node's cell coordinate).
-  NodeId add_node(std::unique_ptr<Node> node, std::uint32_t shard);
+  /// Adds a node: assigns the next NodeId, places it in simulator shard
+  /// `shard` (the Grid derives it from the node's cell coordinate),
+  /// attaches it, and calls start().
+  NodeId add_node(std::unique_ptr<Node> node, std::uint32_t shard = 0);
 
   /// Removes a node. `graceful` invokes stop() first (a leave); otherwise
   /// this models a crash. In-flight messages to it are dropped on delivery.
@@ -96,10 +96,10 @@ class Network final : public Runtime {
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;
   NetworkStats stats_;
-  /// One instance per shard (empty in classic mode): workers account
-  /// traffic without synchronization; stats() merges deterministically.
+  /// One instance per shard: drains account traffic without
+  /// synchronization; stats() merges deterministically.
   std::vector<NetworkStats> shard_stats_;
-  /// Seed of the per-message latency streams (sharded mode).
+  /// Seed of the per-message latency streams.
   std::uint64_t latency_seed_;
   // Wire metrics handles, interned up front: counter-name interning
   // mutates the registry and must never happen on a shard worker.

@@ -71,7 +71,7 @@ class Cells {
   const AttributeSpace* space_;
 };
 
-/// Locality-preserving shard key for sharded simulation (sim/sharded.h):
+/// Locality-preserving shard key for sharded simulation (sim/simulator.h):
 /// interleaves the level-0 cell indices most-significant-bit first (a Morton
 /// prefix over the nested-cell hierarchy) and splits the resulting key range
 /// into `shards` contiguous slices. Nodes sharing a coarse cell — exactly the

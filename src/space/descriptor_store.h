@@ -23,7 +23,7 @@
 ///     a stale descriptor still circulating must not roll back a newer
 ///     profile.
 ///
-/// Sharded-execution contract (sim/sharded.h): every id is registered by the
+/// Sharded-execution contract (sim/simulator.h): every id is registered by the
 /// coordinator (between windows) before any worker can reference it, so
 /// worker-phase put_if_absent() calls always hit the present-row early
 /// return and never write — reads are data-race-free without locks.

@@ -138,7 +138,7 @@ TEST_F(SwordTest, DuplicateRecordsNotDoubleCounted) {
 TEST_F(SwordTest, PublishLoadConcentratesOnHotValueOwner) {
   build(50);
   // Highly skewed attribute: all nodes share value 7 on dim 0.
-  net.stats().set_load_filter([](const Message& m) {
+  net.set_load_filter([](const Message& m) {
     return std::string_view(m.type_name()).starts_with("dht.");
   });
   for (NodeId id : ids) publish(id, {7, id});

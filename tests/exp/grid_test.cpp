@@ -113,6 +113,18 @@ TEST(Grid, RejectsUnknownLatencyModel) {
   EXPECT_THROW(Grid(cfg, uniform_points(cfg.space, 0, 80)), std::invalid_argument);
 }
 
+TEST(Grid, RejectsShardCountOutsideRange) {
+  for (std::uint32_t shards : {0u, 65u}) {
+    auto cfg = base_config(10);
+    cfg.shards = shards;
+    EXPECT_THROW(Grid(cfg, uniform_points(cfg.space, 0, 80)), std::invalid_argument)
+        << "shards=" << shards;
+  }
+  auto cfg = base_config(10);
+  cfg.shards = 64;
+  EXPECT_NO_THROW(Grid(cfg, uniform_points(cfg.space, 0, 80)));
+}
+
 TEST(Grid, StatsAccumulateAcrossQueries) {
   auto cfg = base_config(100);
   Grid grid(cfg, uniform_points(cfg.space, 0, 80));

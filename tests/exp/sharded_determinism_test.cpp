@@ -1,10 +1,10 @@
-/// Barrier-determinism regression test for the sharded engine
-/// (sim/sharded.h): a fig06-style mini-run must be byte-identical at any
+/// Barrier-determinism regression test for the sharded simulator
+/// (sim/simulator.h): a fig06-style mini-run must be byte-identical at any
 /// shard count. This is the in-process mirror of the CI bench-smoke diff
 /// (ARES_SHARDS=1,2,8 BENCH_fig06 outputs compared byte-for-byte), the same
 /// contract tests/exp/determinism_test.cpp proves for worker threads.
 ///
-/// Why it holds (DESIGN.md §"Sharded execution"): every event carries a
+/// Why it holds (DESIGN.md §8): every event carries a
 /// shard-count-independent key (time, (src << 32) | per-src-counter), the
 /// per-message latency draw is a pure function of (seed, key, dst), and
 /// cross-shard sends land beyond the lookahead-window barrier — so each
@@ -22,12 +22,12 @@
 namespace ares {
 namespace {
 
-Grid::Config mini_config(std::uint32_t shards, bool gossip) {
+Grid::Config mini_config(std::uint32_t shards, bool gossip, const char* latency) {
   Grid::Config cfg{.space = AttributeSpace::uniform(3, 3, 0, 80)};
   cfg.nodes = 400;
   cfg.oracle = !gossip;
   cfg.convergence = gossip ? 120 * kSecond : 0;
-  cfg.latency = "wan";
+  cfg.latency = latency;
   cfg.seed = 4242;
   cfg.protocol.gossip_enabled = gossip;
   cfg.shards = shards;
@@ -38,8 +38,9 @@ Grid::Config mini_config(std::uint32_t shards, bool gossip) {
 /// match sets, completion latencies, traffic counters, executed-event counts
 /// — into one string. Byte-equality of these strings is the determinism
 /// contract.
-std::string run_serialized(std::uint32_t shards, bool gossip) {
-  Grid::Config cfg = mini_config(shards, gossip);
+std::string run_serialized(std::uint32_t shards, bool gossip,
+                           const char* latency = "wan") {
+  Grid::Config cfg = mini_config(shards, gossip, latency);
   Grid grid(cfg, uniform_points(cfg.space, 0, 80));
 
   std::vector<RangeQuery> queries;
@@ -82,6 +83,15 @@ TEST(ShardedDeterminism, GossipRunByteIdenticalAtShards128) {
   const std::string one = run_serialized(1, /*gossip=*/true);
   EXPECT_EQ(one, run_serialized(2, /*gossip=*/true));
   EXPECT_EQ(one, run_serialized(8, /*gossip=*/true));
+}
+
+TEST(ShardedDeterminism, PlanetlabRunByteIdenticalAtShards128) {
+  // Per-pair PlanetLab latencies are sampled concurrently by the shard
+  // workers of every gossip cycle.
+  const std::string one = run_serialized(1, /*gossip=*/true, "planetlab");
+  ASSERT_NE(one.find("completed=1"), std::string::npos);
+  EXPECT_EQ(one, run_serialized(2, /*gossip=*/true, "planetlab"));
+  EXPECT_EQ(one, run_serialized(8, /*gossip=*/true, "planetlab"));
 }
 
 TEST(ShardedDeterminism, NoLateEventsUnderSharding) {

@@ -48,20 +48,25 @@ TEST(ExperimentHarness, SigmaDeliveryMeasuredAgainstSigma) {
 }
 
 TEST(ExperimentHarness, MeasureLoadCountsOnlyQueryTraffic) {
-  auto cfg = harness_config(200);
-  cfg.protocol.gossip_enabled = true;  // gossip running but filtered out
-  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
-  Rng rng(3);
-  std::vector<RangeQuery> queries{best_case_query(grid.space(), 0.25, rng)};
-  auto load = exp::measure_load(grid, queries, kNoSigma, 5);
-  std::uint64_t sent_total = 0;
-  for (auto c : load.sent) sent_total += c;
-  std::uint64_t recv_total = 0;
-  for (auto c : load.received) recv_total += c;
-  EXPECT_GT(sent_total, 0u);
-  // Query and reply counts must balance (every sent query/reply that is
-  // delivered is received; no dead nodes here).
-  EXPECT_EQ(sent_total, recv_total);
+  // Drains count traffic in per-shard stats instances at any shard count.
+  for (std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    auto cfg = harness_config(200);
+    cfg.protocol.gossip_enabled = true;  // gossip running but filtered out
+    cfg.shards = shards;
+    Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+    Rng rng(3);
+    std::vector<RangeQuery> queries{best_case_query(grid.space(), 0.25, rng)};
+    auto load = exp::measure_load(grid, queries, kNoSigma, 5);
+    std::uint64_t sent_total = 0;
+    for (auto c : load.sent) sent_total += c;
+    std::uint64_t recv_total = 0;
+    for (auto c : load.received) recv_total += c;
+    EXPECT_GT(sent_total, 0u);
+    // Query and reply counts must balance (every sent query/reply that is
+    // delivered is received; no dead nodes here).
+    EXPECT_EQ(sent_total, recv_total);
+  }
 }
 
 TEST(ExperimentHarness, NeighborCountsPositive) {

@@ -8,25 +8,27 @@ namespace {
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> order;
-  q.push(30, [&] { order.push_back(3); });
-  q.push(10, [&] { order.push_back(1); });
-  q.push(20, [&] { order.push_back(2); });
+  q.push_keyed(30, 0, [&] { order.push_back(3); });
+  q.push_keyed(10, 1, [&] { order.push_back(1); });
+  q.push_keyed(20, 2, [&] { order.push_back(2); });
   while (!q.empty()) q.pop()();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, FifoOnTies) {
+TEST(EventQueue, KeyBreaksTies) {
   EventQueue q;
   std::vector<int> order;
-  for (int i = 0; i < 5; ++i) q.push(100, [&order, i] { order.push_back(i); });
+  // Pushed in descending key order: the key, not insertion order, decides.
+  for (int i = 4; i >= 0; --i)
+    q.push_keyed(100, static_cast<std::uint64_t>(i), [&order, i] { order.push_back(i); });
   while (!q.empty()) q.pop()();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, NextTime) {
   EventQueue q;
-  q.push(50, [] {});
-  q.push(20, [] {});
+  q.push_keyed(50, 0, [] {});
+  q.push_keyed(20, 1, [] {});
   EXPECT_EQ(q.next_time(), 20);
   q.pop();
   EXPECT_EQ(q.next_time(), 50);
@@ -35,8 +37,8 @@ TEST(EventQueue, NextTime) {
 TEST(EventQueue, SizeTracking) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
-  q.push(1, [] {});
-  q.push(2, [] {});
+  q.push_keyed(1, 0, [] {});
+  q.push_keyed(2, 1, [] {});
   EXPECT_EQ(q.size(), 2u);
   q.pop();
   EXPECT_EQ(q.size(), 1u);

@@ -60,6 +60,22 @@ TEST(Latency, CoordinateRespectsBase) {
     EXPECT_GE(m.sample(rng, i, i + 1), 20 * kMillisecond);
 }
 
+TEST(Latency, PlanetlabPairStableAcrossCallsAndInstances) {
+  // With the jitter stream fixed, a sample differs only in base + distance,
+  // and node coordinates are a pure function of (seed, id): the visiting
+  // order and the model instance must not matter.
+  auto draw = [](LatencyModel& m, NodeId from, NodeId to) {
+    Rng jitter(99);
+    return m.sample(jitter, from, to);
+  };
+  auto a = make_planetlab_latency(11);
+  auto b = make_planetlab_latency(11);
+  const SimTime first = draw(*a, 3, 700);
+  for (NodeId i = 0; i < 50; ++i) draw(*a, i, 1000 - i);
+  EXPECT_EQ(draw(*a, 3, 700), first);
+  EXPECT_EQ(draw(*b, 3, 700), first);
+}
+
 TEST(Latency, PlanetlabFactoryInRealisticRange) {
   auto m = make_planetlab_latency(11);
   Rng rng(7);

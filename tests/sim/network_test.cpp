@@ -169,7 +169,7 @@ TEST_F(NetworkTest, StatsPerType) {
 
 TEST_F(NetworkTest, LoadFilterCountsPerNode) {
   NodeId a = add(), b = add();
-  net.stats().set_load_filter([](const Message&) { return true; });
+  net.set_load_filter([](const Message&) { return true; });
   net.send(a, b, ping(1));
   net.send(b, a, ping(2));
   net.send(b, a, ping(3));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ares {
 namespace {
 
@@ -83,6 +85,41 @@ TEST(Simulator, ExecutedEventCount) {
   for (int i = 0; i < 7; ++i) sim.schedule_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.executed_events(), 7u);
+}
+
+TEST(Simulator, CoordinatorEventsRunFirstInTheirWindow) {
+  // Windows of Δ=10: [0,10) holds node event 3; [10,20) node event 15;
+  // [20,30) the coordinator event at 27, which runs before node event 25.
+  for (std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    Simulator sim(1, shards, /*window=*/10);
+    sim.set_node_shard(0, 0);
+    std::vector<SimTime> order;
+    for (SimTime t : {25, 3, 15})
+      sim.schedule(0, sim.alloc_key(0), t, [&order, t] { order.push_back(t); });
+    sim.schedule_at(27, [&] { order.push_back(27); });
+    EXPECT_EQ(sim.run(), 4u);
+    EXPECT_EQ(order, (std::vector<SimTime>{3, 15, 27, 25}));
+    EXPECT_EQ(sim.now(), 29);  // the end of the last window drained
+  }
+}
+
+// Node code schedules through node timers; a coordinator event added from
+// inside a drain would run out of window order, so it aborts in every build.
+void schedule_coordinator_event_from_node_code(std::uint32_t shards) {
+  Simulator sim(1, shards);
+  sim.set_node_shard(0, 0);
+  sim.schedule(0, sim.alloc_key(0), 5, [&sim] { sim.schedule_after(1, [] {}); });
+  sim.run();
+}
+
+TEST(SimulatorDeathTest, CoordinatorSchedulingInsideADrainAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    EXPECT_DEATH(schedule_coordinator_event_from_node_code(shards),
+                 "schedule_at/schedule_after called from node code");
+  }
 }
 
 TEST(Simulator, RngIsSeeded) {

@@ -1,5 +1,5 @@
 /// Cell-prefix shard partitioning (shard_of_coord, space/cells.h): the shard
-/// key the sharded simulator (sim/sharded.h) uses to place nodes. Three
+/// key the sharded simulator (sim/simulator.h) uses to place nodes. Three
 /// contracts matter for correctness and are pinned here:
 ///
 ///   1. Totality/determinism — every coord maps to exactly one shard in

@@ -30,11 +30,14 @@ invariants"):
                    Suppress with  // ares-lint: raw-descriptor-vec-ok(<reason>)
 
   shard-seam       No direct use of the sharded-execution primitives
-                   (EventQueue::push_keyed, ShardEngine::alloc_key/
-                   set_node_shard/run_window/schedule_coord) outside
-                   src/sim. Cross-shard communication flows through ONE
-                   seam — Network::send()/node_timer() scheduling into the
-                   ShardEngine mailboxes — so determinism arguments stay
+                   (EventQueue::push_keyed, Simulator::alloc_key/
+                   set_node_shard, and so Simulator::schedule(), which
+                   needs a key from alloc_key) outside src/sim; the
+                   private Simulator::run_window and the removed
+                   schedule_coord stay banned by name. Cross-shard
+                   communication flows through ONE seam —
+                   Network::send()/node_timer() scheduling into the
+                   Simulator mailboxes — so determinism arguments stay
                    local to src/sim. Suppress with
                        // ares-lint: shard-seam-ok(<reason>)
 
@@ -143,13 +146,19 @@ RAW_DESCRIPTOR_VEC = [
 ]
 
 # shard-seam applies to src/ except src/sim (where the engine and the one
-# legitimate mailbox seam — Network — live).
+# legitimate mailbox seam — Network — live). Simulator::schedule(), the
+# keyed entry point, takes a key only alloc_key() makes, so the alloc_key
+# pattern covers it.
 SHARD_SEAM = [
     (re.compile(r"\bpush_keyed\s*\("), "EventQueue::push_keyed()"),
-    (re.compile(r"\balloc_key\s*\("), "ShardEngine::alloc_key()"),
-    (re.compile(r"\bset_node_shard\s*\("), "ShardEngine::set_node_shard()"),
-    (re.compile(r"\brun_window\s*\("), "ShardEngine::run_window()"),
-    (re.compile(r"\bschedule_coord\s*\("), "ShardEngine::schedule_coord()"),
+    (re.compile(r"\balloc_key\s*\("),
+     "Simulator::alloc_key() (the key for Simulator::schedule())"),
+    (re.compile(r"\bset_node_shard\s*\("), "Simulator::set_node_shard()"),
+    (re.compile(r"\brun_window\s*\("),
+     "run_window() (private to Simulator; drive it with run/run_until/step)"),
+    (re.compile(r"\bschedule_coord\s*\("),
+     "schedule_coord() (removed; coordinator events use "
+     "Simulator::schedule_at())"),
 ]
 
 # raw-mutex applies to src/ except src/common (where the annotated
