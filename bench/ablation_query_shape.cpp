@@ -109,6 +109,7 @@ int main() {
       cfg.oracle = true;
       cfg.latency = "lan";
       cfg.seed = cur.seed;
+      cfg.shards = cur.shards;
       cfg.protocol.gossip_enabled = false;
       cfg.protocol.routing.slot_capacity = cap;
       cfg.oracle_options.per_slot = cap;
@@ -140,6 +141,7 @@ int main() {
       cfg.oracle = true;
       cfg.latency = "lan";
       cfg.seed = s.seed;
+      cfg.shards = s.shards;
       cfg.protocol.gossip_enabled = false;
       cfg.protocol.query_aware_forwarding = aware;
       auto grid = std::make_unique<Grid>(std::move(cfg),

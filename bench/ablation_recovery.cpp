@@ -36,6 +36,7 @@ TrialResult run_mode(const TrialConfig& mode, const Setup& base) {
   cfg.oracle = true;
   cfg.latency = "lan";
   cfg.seed = base.seed;
+  cfg.shards = base.shards;
   cfg.protocol.gossip_enabled = false;
   cfg.protocol.query_timeout = mode.timeout;
   cfg.protocol.retry_alternates = mode.retry;

@@ -27,12 +27,13 @@ struct Outcome {
 };
 
 Outcome run_ours(const std::vector<Point>& profiles, const AttributeSpace& space,
-                 AttrValue threshold, std::uint64_t seed) {
+                 AttrValue threshold, std::uint64_t seed, std::uint32_t shards) {
   Grid::Config cfg{.space = space};
   cfg.nodes = 0;
   cfg.oracle = false;
   cfg.latency = "lan";
   cfg.seed = seed;
+  cfg.shards = shards;
   cfg.protocol.gossip_enabled = false;
   Grid grid(std::move(cfg), uniform_points(space, 0, 80));
   for (const auto& p : profiles) grid.add_node(p);
@@ -158,7 +159,7 @@ int main() {
   // The three systems are independent jobs run on ARES_THREADS workers
   // (they only read the shared profiles vector).
   std::vector<std::function<Outcome()>> jobs{
-      [&] { return run_ours(profiles, space, threshold, s.seed); },
+      [&] { return run_ours(profiles, space, threshold, s.seed, s.shards); },
       [&] { return run_flooding(profiles, 5, threshold, s.seed + 1); },
       [&] { return run_slicing(profiles, f, s.seed + 2); },
   };

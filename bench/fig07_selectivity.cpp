@@ -75,6 +75,7 @@ int main() {
         Setup cur;
         cur.n = panel.n;
         cur.seed = c.grid_seed;
+        cur.shards = s.shards;
         auto grid = make_oracle_grid(cur, panel.latency);
         Rng rng(exp::trial_seed(c.grid_seed, trial));
         std::vector<RangeQuery> best, worst;

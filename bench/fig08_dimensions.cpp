@@ -73,6 +73,7 @@ int main() {
         cur.dims = c.dims;
         cur.seed = c.seed;
         cur.queries = reps;
+        cur.shards = s.shards;
         auto grid = make_oracle_grid(cur, panel.latency);
         Rng rng(exp::trial_seed(c.seed, trial));
         auto queries = default_queries(*grid, cur, rng);

@@ -30,14 +30,15 @@ struct TrialResult {
   SimTotals totals;
 };
 
-TrialResult converged_counts(const TrialConfig& c, std::size_t n,
-                             SimTime convergence) {
+TrialResult converged_counts(const TrialConfig& c, std::size_t n, SimTime convergence,
+                             std::uint32_t shards) {
   Grid::Config cfg{.space = AttributeSpace::uniform(c.dims, 3, 0, 80)};
   cfg.nodes = n;
   cfg.oracle = false;
   cfg.convergence = convergence;
   cfg.latency = "lan";
   cfg.seed = c.seed;
+  cfg.shards = shards;
   cfg.protocol.gossip_enabled = true;
   cfg.bootstrap_contacts = 5;
   cfg.track_visited = false;
@@ -80,7 +81,7 @@ int main() {
   auto results = exp::run_trials(
       configs,
       [&](const TrialConfig& c, std::size_t) {
-        return converged_counts(c, s.n, convergence);
+        return converged_counts(c, s.n, convergence, s.shards);
       },
       threads);
   for (const auto& r : results) report.add_events(r.totals.events, r.totals.late);

@@ -46,6 +46,7 @@ PanelResult run_panel(const PanelConfig& c, const Setup& s) {
   cfg.convergence = from_seconds(option_double("CONVERGENCE_S", 300));
   cfg.latency = "lan";
   cfg.seed = s.seed;
+  cfg.shards = s.shards;
   cfg.protocol.gossip_enabled = true;
   cfg.protocol.query_timeout = from_seconds(c.timeout_s);
   cfg.protocol.retry_alternates = c.slot_capacity > 1;

@@ -140,11 +140,10 @@ struct PingMsg final : Message {
   static inline void* free_list_ = nullptr;
 };
 
-// Codec so the bench also runs under ARES_WIRE=1 (wire-true smoke in CI).
-// The body mirrors the seed's nominal 16-byte ping: 15 bytes of padding
-// after the 1-byte kind tag. decode allocates via the freelist, so the
-// default-mode zero-alloc gate is unaffected (wire_size() uses the
-// counting writer, which never touches the heap).
+// Codec because the sim sizes every send through it (traffic accounting
+// counts the frame length). The body mirrors the seed's nominal 16-byte
+// ping: 15 bytes of padding after the 1-byte kind tag. Sizing reads
+// size_body, which never touches the heap, so the zero-alloc gate holds.
 const bool kPingCodec = [] {
   wire::register_codec(
       kPingKind,

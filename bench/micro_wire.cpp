@@ -141,8 +141,8 @@ int main() {
       return 1;
     }
 
-    // Encode direction: full frame into a fresh buffer each iteration (the
-    // checked-delivery cost), checksummed so the work cannot be elided.
+    // Encode direction: full frame into a fresh buffer each iteration (what
+    // a loopback or UDP send pays), checksummed so the work cannot be elided.
     std::uint64_t sink = 0;
     const auto e0 = Clock::now();
     for (std::uint64_t i = 0; i < ops; ++i) {

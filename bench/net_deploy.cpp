@@ -172,9 +172,10 @@ int main() {
         ok = false;
     }
   }
-  // Coalescing gate: outside delay injection (delayed sends ship alone by
-  // design), gossip fan-out must pack more than one frame per datagram and
-  // — when the platform batches sends — fewer kernel entries than datagrams.
+  // Coalescing gate: outside delay injection, gossip fan-out must pack more
+  // than one frame per datagram and — when the platform batches sends —
+  // fewer kernel entries than datagrams. Injected delays spread release
+  // times, so delayed frames share a datagram only by chance.
   if (cfg.faults.delay_max == 0) {
     if (fpd <= 1.0) {
       std::cerr << "FAIL: frames/datagram " << fpd

@@ -1,6 +1,5 @@
 #include "common/options.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 namespace ares {
@@ -29,22 +28,6 @@ double option_double(const std::string& name, double def) {
   char* end = nullptr;
   double parsed = std::strtod(v, &end);
   return (end != nullptr && *end == '\0') ? parsed : def;
-}
-
-std::string option_string(const std::string& name, const std::string& def) {
-  std::string key;
-  const char* v = raw(name, key);
-  return v != nullptr ? std::string(v) : def;
-}
-
-bool option_flag(const std::string& name, bool def) {
-  std::string key;
-  const char* v = raw(name, key);
-  if (v == nullptr) return def;
-  std::string s(v);
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s == "1" || s == "true" || s == "yes" || s == "on";
 }
 
 }  // namespace ares

@@ -17,10 +17,4 @@ std::uint64_t option_u64(const std::string& name, std::uint64_t def);
 /// Reads ARES_<name> from the environment; returns `def` when unset/invalid.
 double option_double(const std::string& name, double def);
 
-/// Reads ARES_<name> from the environment; returns `def` when unset.
-std::string option_string(const std::string& name, const std::string& def);
-
-/// True when ARES_<name> is set to 1/true/yes/on (case-insensitive).
-bool option_flag(const std::string& name, bool def);
-
 }  // namespace ares

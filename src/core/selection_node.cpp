@@ -181,14 +181,15 @@ QueryId SelectionNode::submit(const RangeQuery& q, std::uint32_t sigma,
 /// Ingress check, run before any handler: a frame can decode cleanly yet
 /// not fit this node's space — a query or record of another dimensionality,
 /// a level outside [-1, max(l)], reply records out of id order (the merge's
-/// precondition), a descriptor without an address. The handlers would index
-/// past their arrays on it, so to this node it is as unusable as a frame
-/// that does not parse.
+/// precondition), a descriptor whose id lies past the store's rows. The
+/// handlers would index past their arrays, or grow the store, on it, so to
+/// this node it is as unusable as a frame that does not parse.
 bool SelectionNode::fits_space(const Message& m) const {
   const auto d = static_cast<std::size_t>(space_.dimensions());
-  auto descriptors_fit = [d](const std::vector<PeerDescriptor>& entries) {
+  const NodeId bound = store_.id_bound();
+  auto descriptors_fit = [d, bound](const std::vector<PeerDescriptor>& entries) {
     for (const PeerDescriptor& e : entries)
-      if (e.id == kInvalidNode || e.values.size() != d) return false;
+      if (e.id >= bound || e.values.size() != d) return false;
     return true;
   };
   // Each kind is produced by exactly one message type (the codec registry's

@@ -31,12 +31,11 @@
 /// the whole datagram (rx_rejected). The outer header's src/dst mirror the
 /// first sub-frame's and are ignored for routing a coalesced payload.
 ///
-/// The frame bytes are byte-identical to what the simulator moves in
-/// wire-true mode (ARES_WIRE=1): the codec registry in runtime/wire.h is
-/// the only serialization path. The header exists because one socket per
-/// process hosts many nodes — src/dst route within and across processes —
-/// and because version/magic let a receiver reject foreign or stale traffic
-/// before touching the codec layer.
+/// The frame bytes are byte-identical to what LoopbackRuntime moves: the
+/// codec registry in runtime/wire.h is the only serialization path. The
+/// header exists because one socket per process hosts many nodes — src/dst
+/// route within and across processes — and because version/magic let a
+/// receiver reject foreign or stale traffic before touching the codec layer.
 ///
 /// decode_header() never trusts input: short datagrams, wrong magic, an
 /// unknown version, or a length field that disagrees with the received size

@@ -95,30 +95,11 @@ void UdpRuntime::send(NodeId from, NodeId to, MessagePtr m) {
   }
   ++tx_frames_;
   if (cfg_.faults.delay_max > 0) {
-    // Delayed sends bypass coalescing: their release time is their own, so
-    // each carries a complete plain datagram.
-    std::vector<std::uint8_t> bytes(kHeaderSize + frame.size());
-    DatagramHeader h;
-    h.src = from;
-    h.dst = to;
-    h.payload_len = static_cast<std::uint16_t>(frame.size());
-    encode_header(h, bytes.data());
-    std::copy(frame.begin(), frame.end(), bytes.begin() + kHeaderSize);
+    // Held until its release time, then queued like any other frame.
     const SimTime extra = static_cast<SimTime>(fault_rng_.range(
         static_cast<std::uint64_t>(std::max<SimTime>(cfg_.faults.delay_min, 0)),
         static_cast<std::uint64_t>(cfg_.faults.delay_max)));
-    delayed_.push(Delayed{now() + extra, delayed_seq_++, to, std::move(bytes)});
-    return;
-  }
-  if (!cfg_.coalesce) {
-    std::vector<std::uint8_t> bytes(kHeaderSize + frame.size());
-    DatagramHeader h;
-    h.src = from;
-    h.dst = to;
-    h.payload_len = static_cast<std::uint16_t>(frame.size());
-    encode_header(h, bytes.data());
-    std::copy(frame.begin(), frame.end(), bytes.begin() + kHeaderSize);
-    transmit(to, bytes);
+    delayed_.push(Delayed{now() + extra, delayed_seq_++, from, to, std::move(frame)});
     return;
   }
   // Sub-frames carry (from, to) themselves, so frames for distinct node
@@ -162,8 +143,8 @@ void UdpRuntime::flush_pending() {
     std::vector<std::uint8_t> bytes;
     std::size_t overhead = 0;
     if (p.frames == 1) {
-      // One frame: strip the sub-header and emit a plain v1 datagram, so a
-      // single-message exchange is byte-identical to the uncoalesced wire.
+      // One frame: strip the sub-header and emit a plain datagram — the only
+      // place one is built, so a one-message flush carries no sub-header.
       SubframeParser parser(p.payload.data(), p.payload.size());
       SubFrame sf;
       parser.next(sf);
@@ -209,16 +190,6 @@ void UdpRuntime::flush_pending() {
   tx_datagrams_ += accepted;
   for (std::size_t i = 0; i < accepted && i < tx_overheads_.size(); ++i)
     header_bytes_ += tx_overheads_[i];
-}
-
-void UdpRuntime::transmit(NodeId to, const std::vector<std::uint8_t>& bytes) {
-  const PeerAddress* addr = book_.find(to);
-  if (addr == nullptr) return;  // unknown peer: dropped, like a dead node
-  ++tx_syscalls_;
-  if (udp_send(fd_, addr->ip, addr->port, bytes.data(), bytes.size())) {
-    ++tx_datagrams_;
-    header_bytes_ += kHeaderSize;
-  }
 }
 
 void UdpRuntime::node_timer(NodeId id, SimTime delay, UniqueAction fn) {
@@ -294,7 +265,8 @@ void UdpRuntime::flush_delayed() {
     // is removed immediately after).
     Delayed d = std::move(const_cast<Delayed&>(delayed_.top()));
     delayed_.pop();
-    transmit(d.to, d.bytes);
+    // send() resolved the address, and the book never changes.
+    enqueue_frame(d.from, d.to, *book_.find(d.to), d.frame);
   }
 }
 

@@ -6,35 +6,34 @@
 /// NodeIds are assigned by the deployment driver, see exp/deploy.h) behind
 /// a single non-blocking UDP socket. Messages cross process boundaries as
 /// datagrams: a 14-byte routing header (net/datagram.h) followed by the
-/// exact codec frame the simulator moves in wire-true mode — the registry
-/// in runtime/wire.h is the only serialization path, so the payload bytes
-/// are identical across backends and so is NetworkStats accounting (frame
-/// bytes only; the header overhead is metered separately).
+/// exact codec frame LoopbackRuntime moves — the registry in runtime/wire.h
+/// is the only serialization path, so the payload bytes are identical across
+/// backends and so is NetworkStats accounting (frame bytes only; the header
+/// overhead is metered separately).
 ///
 /// Event loop: poll_once() flushes coalesced sends, waits on the socket
 /// (epoll when the platform has it, poll otherwise) with a timeout sized to
 /// the earliest pending timer or delayed transmission, drains every
 /// received datagram in recvmmsg batches, fires due timers through a
 /// TimerWheel (owner-guarded, same incarnation-safety as the simulator's
-/// node_timer), flushes fault-delayed sends, and flushes the frames those
-/// steps produced. There is no background thread — the hosting process
-/// drives the loop, and a test can interleave two runtimes
+/// node_timer), queues released fault-delayed frames, and flushes the
+/// frames those steps produced. There is no background thread — the
+/// hosting process drives the loop, and a test can interleave two runtimes
 /// deterministically by alternating their poll_once() calls.
 ///
-/// Payload coalescing (Config::coalesce, default on): frames sent between
-/// loop iterations accumulate per destination process and leave as one
-/// datagram per destination at the next flush — multiple sub-frames under
-/// one routing header (net/datagram.h), handed to the kernel with one
-/// sendmmsg where available. A destination holding a single frame is
-/// flushed as a plain v1 datagram (no sub-header), so a one-message
-/// exchange is byte-identical to the uncoalesced format. Fault-delayed
-/// sends bypass coalescing: their release time is their own.
+/// Payload coalescing: frames sent between loop iterations accumulate per
+/// destination process and leave as one datagram per destination at the
+/// next flush — multiple sub-frames under one routing header
+/// (net/datagram.h), handed to the kernel with one sendmmsg where
+/// available. A destination holding a single frame is flushed as a plain
+/// datagram (no sub-header). A fault-delayed frame joins the queue when it
+/// is released.
 ///
 /// Delivery guarantees (DESIGN.md §10): none beyond UDP's. Datagrams may
 /// be lost (full socket buffers), duplicated, or reordered; the receive
 /// path validates the header, drops foreign or misrouted datagrams, and
 /// routes undecodable payloads to the per-node "wire.decode_fail" metric —
-/// exactly what the simulator does to a corrupt frame, never a crash.
+/// exactly what LoopbackRuntime does to a corrupt frame, never a crash.
 /// FaultInjection adds seeded, deterministic loss and extra latency at the
 /// send side on top of whatever the real network does.
 
@@ -91,10 +90,6 @@ class UdpRuntime final : public Runtime {
   struct Config {
     std::uint64_t seed = 1;
     FaultInjection faults;
-    /// Pack frames sent between loop iterations into one datagram per
-    /// destination process (see the file comment). Off = one datagram per
-    /// frame, the v1 behaviour.
-    bool coalesce = true;
   };
 
   /// Takes ownership of `socket_fd` (closed in the destructor). The socket
@@ -132,8 +127,8 @@ class UdpRuntime final : public Runtime {
   // -- event loop ----------------------------------------------------------
   /// One loop iteration: wait up to `max_wait` microseconds for the socket
   /// (less when a timer or delayed send is due sooner), drain received
-  /// datagrams, fire due timers, flush due delayed sends. Returns the
-  /// number of datagrams delivered to local nodes.
+  /// datagrams, fire due timers, queue due delayed frames, flush. Returns
+  /// the number of datagrams delivered to local nodes.
   std::size_t poll_once(SimTime max_wait);
 
   /// Drives poll_once() until `dt` microseconds of wall time have passed.
@@ -173,8 +168,9 @@ class UdpRuntime final : public Runtime {
   struct Delayed {
     SimTime due;
     std::uint64_t seq;
+    NodeId from;
     NodeId to;
-    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint8_t> frame;
     bool operator>(const Delayed& o) const {
       return due != o.due ? due > o.due : seq > o.seq;
     }
@@ -188,7 +184,6 @@ class UdpRuntime final : public Runtime {
     std::size_t frames = 0;
   };
 
-  void transmit(NodeId to, const std::vector<std::uint8_t>& bytes);
   bool handle_datagram(const std::uint8_t* data, std::size_t len);
   bool deliver_frame(NodeId src, NodeId dst, const std::uint8_t* frame,
                      std::size_t len);

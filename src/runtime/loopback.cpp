@@ -38,18 +38,13 @@ void LoopbackRuntime::send(NodeId from, NodeId to, MessagePtr m) {
   assert(m != nullptr);
   if (std::size_t saved = wire::paper_layout_savings(*m); saved > 0)
     metrics().inc(from, "wire.bytes_delta_saved", saved);
-  if (wire::checked_delivery()) {
-    // Wire-true mode (see runtime/wire.h): round-trip through the codec at
-    // the boundary; undecodable frames are dropped and metered.
-    auto rc = wire::recode(*m);
-    if (rc.msg == nullptr) {
-      metrics().inc(from, rc.encode_ok ? "wire.decode_fail" : "wire.encode_fail");
-      ++dropped_;
-      return;
-    }
-    m = std::move(rc.msg);
+  std::vector<std::uint8_t> frame = wire::encode(*m);
+  if (frame.empty()) {
+    metrics().inc(from, "wire.encode_fail");
+    ++dropped_;
+    return;
   }
-  inbox_.push_back(Envelope{from, to, std::move(m)});
+  inbox_.push_back(Envelope{from, to, std::move(frame)});
 }
 
 void LoopbackRuntime::node_timer(NodeId id, SimTime delay, UniqueAction fn) {
@@ -66,8 +61,14 @@ void LoopbackRuntime::deliver_pending() {
       ++dropped_;
       continue;
     }
+    MessagePtr m = wire::decode(e.frame);
+    if (m == nullptr) {
+      metrics().inc(e.to, "wire.decode_fail");
+      ++dropped_;
+      continue;
+    }
     ++delivered_;
-    dst->on_message(e.from, *e.msg);
+    dst->on_message(e.from, *m);
   }
 }
 

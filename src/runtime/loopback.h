@@ -7,12 +7,13 @@
 /// against it without spinning up a Simulator/Network pair, and the test
 /// controls time explicitly with advance()/run_until().
 ///
-/// Delivery semantics: send() enqueues; messages drain in FIFO order at the
-/// current clock value (never reentrantly from inside send(), so a node's
-/// handler always runs to completion before replies it triggered are
-/// delivered — same as the simulator, minus the latency). Timers fire in
-/// (time, schedule-order) order; messages produced by a timer drain before
-/// the next timer fires.
+/// Delivery semantics: send() encodes the message and enqueues the frame;
+/// frames drain in FIFO order at the current clock value and are decoded at
+/// delivery (never reentrantly from inside send(), so a node's handler
+/// always runs to completion before replies it triggered are delivered —
+/// same as the simulator, minus the latency). Codec failures are dropped and
+/// metered as in UdpRuntime. Timers fire in (time, schedule-order) order;
+/// messages produced by a timer drain before the next timer fires.
 
 #include <cstdint>
 #include <deque>
@@ -79,7 +80,7 @@ class LoopbackRuntime final : public Runtime {
   struct Envelope {
     NodeId from;
     NodeId to;
-    MessagePtr msg;
+    std::vector<std::uint8_t> frame;
   };
   struct Timer {
     SimTime at;

@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "common/options.h"
-
 namespace ares::wire {
 namespace {
 
@@ -16,9 +14,6 @@ void ensure_builtins() {
   static const bool once = (detail::register_builtin_codecs(), true);
   (void)once;
 }
-
-// -1 = not yet resolved from the environment.
-int g_checked = -1;
 
 }  // namespace
 
@@ -74,19 +69,5 @@ MessagePtr decode(const std::uint8_t* data, std::size_t len) {
 MessagePtr decode(const std::vector<std::uint8_t>& bytes) {
   return decode(bytes.data(), bytes.size());
 }
-
-RecodeResult recode(const Message& m) {
-  auto bytes = encode(m);
-  if (bytes.empty()) return {nullptr, false};
-  detail::SizeCache::set(m, bytes.size());
-  return {decode(bytes), true};
-}
-
-bool checked_delivery() {
-  if (g_checked < 0) g_checked = option_flag("WIRE", false) ? 1 : 0;
-  return g_checked == 1;
-}
-
-void set_checked_delivery(bool on) { g_checked = on ? 1 : 0; }
 
 }  // namespace ares::wire

@@ -18,11 +18,11 @@
 /// static library). Tests and benches may register additional codecs for
 /// their local message types under Kind values >= wire::Kind::kTestBase.
 ///
-/// Codec-checked delivery ("wire-true mode", ARES_WIRE=1): when
-/// checked_delivery() is on, sim::Network and LoopbackRuntime pass every
-/// message through recode() — a full encode->decode round trip — at the
-/// send boundary, dropping undecodable frames and bumping the per-node
-/// "wire.decode_fail" / "wire.encode_fail" metrics instead of crashing.
+/// Backends: sim::Network passes message pointers and uses the codecs only
+/// to size each send; LoopbackRuntime and UdpRuntime move the frame bytes,
+/// encoding at send and decoding at delivery. Frames that fail either step
+/// are dropped and bump the per-node "wire.encode_fail" (sender) or
+/// "wire.decode_fail" (receiver) metric instead of crashing.
 ///
 /// The four gossip kinds (CYCLON/Vicinity request+reply) carry their
 /// descriptor lists delta-coded against the first entry; the paper's plain
@@ -294,40 +294,6 @@ std::size_t encoded_size(const Message& m);
 MessagePtr decode(const std::uint8_t* data, std::size_t len);
 MessagePtr decode(const std::vector<std::uint8_t>& bytes);
 
-/// encode(m) -> decode(bytes) in one step — the codec-checked delivery path.
-/// Returns {nullptr, false} when `m` has no codec and {nullptr, true} when
-/// the frame failed to decode; on success the original message's size cache
-/// is stamped with the frame length (so traffic accounting of `m` matches
-/// the bytes that were actually moved).
-struct RecodeResult {
-  MessagePtr msg;
-  bool encode_ok = false;
-};
-RecodeResult recode(const Message& m);
-
-// ---- codec-checked delivery mode -------------------------------------------
-
-/// True when every message should round-trip through its codec at the
-/// delivery boundary. Defaults to the ARES_WIRE environment flag, read once;
-/// set_checked_delivery() overrides it (tests).
-bool checked_delivery();
-void set_checked_delivery(bool on);
-
-/// RAII test fixture helper: forces checked delivery on (or off) for a
-/// scope, restoring the previous setting on destruction.
-class ScopedCheckedDelivery {
- public:
-  explicit ScopedCheckedDelivery(bool on) : prev_(checked_delivery()) {
-    set_checked_delivery(on);
-  }
-  ~ScopedCheckedDelivery() { set_checked_delivery(prev_); }
-  ScopedCheckedDelivery(const ScopedCheckedDelivery&) = delete;
-  ScopedCheckedDelivery& operator=(const ScopedCheckedDelivery&) = delete;
-
- private:
-  bool prev_;
-};
-
 namespace detail {
 
 /// Installs the codecs for all in-tree protocol messages. Defined in
@@ -336,7 +302,7 @@ namespace detail {
 void register_builtin_codecs();
 
 /// Private access to Message's cached frame length (the driver stamps it on
-/// decode/recode so sizes are measured exactly once per message).
+/// decode so sizes are measured exactly once per message).
 struct SizeCache {
   static void set(const Message& m, std::size_t n) {
     m.cached_wire_size_ = static_cast<std::uint32_t>(n);

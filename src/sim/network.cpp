@@ -13,8 +13,6 @@ Network::Network(Simulator& sim, std::unique_ptr<LatencyModel> latency)
       latency_(std::move(latency)),
       shard_stats_(sim.shards()),
       latency_seed_(hash_mix(sim.seed(), 0x4C415443ULL /* "LATC" */)),
-      m_wire_decode_fail_(metrics().counter("wire.decode_fail")),
-      m_wire_encode_fail_(metrics().counter("wire.encode_fail")),
       m_wire_bytes_saved_(metrics().counter("wire.bytes_delta_saved")) {
   assert(latency_ != nullptr);
   assert(latency_->min_latency() >= sim_.window() &&
@@ -99,20 +97,6 @@ void Network::send(NodeId from, NodeId to, MessagePtr m) {
   // Sizes the message once (wire_size() caches it for on_send).
   if (std::size_t saved = wire::paper_layout_savings(*m); saved > 0)
     metrics().inc(from, m_wire_bytes_saved_, saved);
-  if (wire::checked_delivery()) {
-    // Wire-true mode: the message crosses the boundary as codec bytes, the
-    // way a socket backend would move it. Undecodable frames are dropped
-    // (and metered), never delivered or crashed on.
-    auto rc = wire::recode(*m);
-    if (rc.msg == nullptr) {
-      metrics().inc(from, rc.encode_ok ? m_wire_decode_fail_ : m_wire_encode_fail_);
-      NetworkStats& st = stats_sink();
-      st.on_send(from, *m);
-      st.on_drop(*m);
-      return;
-    }
-    m = std::move(rc.msg);
-  }
   stats_sink().on_send(from, *m);
   // Keyed delivery: the event key orders the destination's history
   // independently of the shard count, and the latency draw comes from a

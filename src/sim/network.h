@@ -101,10 +101,8 @@ class Network final : public Runtime {
   std::vector<NetworkStats> shard_stats_;
   /// Seed of the per-message latency streams.
   std::uint64_t latency_seed_;
-  // Wire metrics handles, interned up front: counter-name interning
-  // mutates the registry and must never happen on a shard worker.
-  Metrics::Counter m_wire_decode_fail_;
-  Metrics::Counter m_wire_encode_fail_;
+  // Wire metric handle, interned up front: counter-name interning mutates
+  // the registry and must never happen on a shard worker.
   Metrics::Counter m_wire_bytes_saved_;
   std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
   NodeId next_id_ = 0;

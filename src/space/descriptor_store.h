@@ -64,6 +64,10 @@ class DescriptorStore {
 
   bool contains(NodeId id) const { return id < present_.size() && present_[id] != 0; }
 
+  /// Ids below this have a row slot, so put_if_absent() on them never grows
+  /// the arrays. Every backend put()s an id before a message can name it.
+  NodeId id_bound() const { return static_cast<NodeId>(present_.size()); }
+
   /// Raw row access. Precondition: contains(id).
   const AttrValue* values_ptr(NodeId id) const { return &values_[id * dims_]; }
   const CellIndex* coord_ptr(NodeId id) const { return &coords_[id * dims_]; }

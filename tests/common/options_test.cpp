@@ -12,8 +12,6 @@ class OptionsTest : public ::testing::Test {
   void TearDown() override {
     unsetenv("ARES_TEST_U64");
     unsetenv("ARES_TEST_DBL");
-    unsetenv("ARES_TEST_STR");
-    unsetenv("ARES_TEST_FLAG");
   }
 };
 
@@ -39,23 +37,6 @@ TEST_F(OptionsTest, DoubleParses) {
 TEST_F(OptionsTest, DoubleInvalidFallsBack) {
   setenv("ARES_TEST_DBL", "abc", 1);
   EXPECT_DOUBLE_EQ(option_double("TEST_DBL", 1.5), 1.5);
-}
-
-TEST_F(OptionsTest, StringPassthrough) {
-  EXPECT_EQ(option_string("TEST_STR", "def"), "def");
-  setenv("ARES_TEST_STR", "lan", 1);
-  EXPECT_EQ(option_string("TEST_STR", "def"), "lan");
-}
-
-TEST_F(OptionsTest, FlagVariants) {
-  EXPECT_FALSE(option_flag("TEST_FLAG", false));
-  EXPECT_TRUE(option_flag("TEST_FLAG", true));
-  for (const char* v : {"1", "true", "YES", "On"}) {
-    setenv("ARES_TEST_FLAG", v, 1);
-    EXPECT_TRUE(option_flag("TEST_FLAG", false)) << v;
-  }
-  setenv("ARES_TEST_FLAG", "0", 1);
-  EXPECT_FALSE(option_flag("TEST_FLAG", true));
 }
 
 }  // namespace

@@ -238,9 +238,10 @@ TEST_F(ProtocolMessagesTest, ChildReplyRepeatingHeldIdKeepsFirstRecord) {
 
 // ---- ingress: frames whose geometry does not fit the node ---------------
 //
-// Each frame below decodes cleanly (all of them survive ARES_WIRE=1), yet
-// would make a handler index past its arrays. The node must drop it before
-// any handler runs, meter it as wire.decode_fail, and keep no state.
+// Each frame below decodes cleanly (loopback moves every one through the
+// codec), yet would make a handler index past its arrays or grow the
+// descriptor store. The node must drop it before any handler runs, meter it
+// as wire.decode_fail, and keep no state.
 
 TEST_F(ProtocolMessagesTest, QueryOfOtherDimensionalityDropped) {
   NodeId parent = net.add_node(std::make_unique<SinkNode>());
@@ -326,10 +327,13 @@ TEST_F(ProtocolMessagesTest, MalformedReplyRecordsDropped) {
 TEST_F(ProtocolMessagesTest, GossipDescriptorsThatWouldCorruptTheStoreDropped) {
   NodeId peer = net.add_node(std::make_unique<SinkNode>());
   NodeId a = add_node({5, 5});
+  const std::size_t rows = store.size();
+  const std::size_t bytes = store.memory_bytes();
   const std::vector<PeerDescriptor> bad = {
       {kInvalidNode, {15, 15}, {1, 1}, 0},  // id + 1 wraps the dense store
       {500, {15, 15, 15}, {1, 1, 1}, 0},    // 3 values on a 2-d space
       {501, {15}, {1}, 0},                  // 1 value on a 2-d space
+      {1'000'000, {15, 15}, {1, 1}, 0},     // past every row: store would grow
   };
   for (const PeerDescriptor& d : bad) {
     auto c = std::make_unique<CyclonShuffleMsg>();
@@ -349,6 +353,8 @@ TEST_F(ProtocolMessagesTest, GossipDescriptorsThatWouldCorruptTheStoreDropped) {
   EXPECT_FALSE(store.contains(500));
   EXPECT_FALSE(store.contains(501));
   EXPECT_FALSE(store.contains(peer));
+  EXPECT_EQ(store.size(), rows);
+  EXPECT_EQ(store.memory_bytes(), bytes);
 
   // The same exchange without the bad entry is absorbed and answered.
   auto c = std::make_unique<CyclonShuffleMsg>();

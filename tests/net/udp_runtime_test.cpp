@@ -7,9 +7,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/selection_node.h"
 #include "net/datagram.h"
 #include "net/process.h"
 #include "runtime/wire.h"
+#include "space/descriptor_store.h"
 
 namespace ares::net {
 namespace {
@@ -310,24 +312,6 @@ TEST(UdpRuntime, OneCycleOfSendsCoalescesIntoOneDatagram) {
   EXPECT_EQ(n3->received[0].second, "m1");
 }
 
-TEST(UdpRuntime, CoalescingSenderInteropsWithUncoalescedPeer) {
-  UdpRuntime::Config plain;
-  plain.coalesce = false;
-  Rig rig({}, plain);
-  EchoNode* n0 = rig.add(*rig.a, 0);
-  rig.add(*rig.b, 2, /*echo=*/true);
-  rig.add(*rig.b, 3, /*echo=*/true);
-  n0->ping(2, "hi2");
-  n0->ping(3, "hi3");
-  ASSERT_TRUE(rig.pump([&] { return n0->received.size() == 2; }));
-  // a packed both frames into one datagram; b answered with one plain
-  // datagram per echo — both directions deliver.
-  EXPECT_EQ(rig.a->tx_datagrams(), 1u);
-  EXPECT_EQ(rig.b->tx_datagrams(), 2u);
-  EXPECT_EQ(rig.b->header_bytes(), kHeaderSize * rig.b->tx_datagrams());
-  EXPECT_EQ(rig.b->tx_frames(), 2u);
-}
-
 TEST(UdpRuntime, SingleFrameCyclesStayPlainV1Datagrams) {
   // With one frame per flush the coalescing path must emit the plain
   // single-frame datagram shape: header accounting shows no sub-frame
@@ -415,6 +399,54 @@ TEST(UdpRuntime, SyscallCountersTrackBatchedSends) {
   EXPECT_EQ(rig.a->rx_syscalls(), 0u);
   EXPECT_GT(rig.b->rx_syscalls(), 0u);
   EXPECT_EQ(rig.a->using_epoll(), have_epoll());
+}
+
+// ---- hostile descriptor ids -----------------------------------------------
+
+/// Counts every message it receives, whatever its kind.
+class CountingNode final : public Node {
+ public:
+  void on_message(NodeId, const Message&) override { ++received; }
+  int received = 0;
+};
+
+TEST(UdpRuntime, HostileDescriptorIdLeavesTheStoreUnchanged) {
+  // Like a deploy child, the process registers every node's row up front,
+  // so an id past the store's rows can only come from a hostile frame.
+  const auto space = AttributeSpace::uniform(2, 3, 0, 80);
+  DescriptorStore store(space);
+  for (NodeId id = 0; id < 4; ++id)
+    store.put(id, {static_cast<AttrValue>(10 + 20 * id), 40});
+  ProtocolConfig cfg;
+  cfg.gossip_enabled = false;
+  Rig rig;
+  rig.a->add_node(0, std::make_unique<SelectionNode>(
+                         space, store, store.point_of(0), cfg,
+                         std::vector<PeerDescriptor>{}, Rng(1)));
+  auto peer = std::make_unique<CountingNode>();
+  CountingNode* p2 = peer.get();
+  rig.b->add_node(2, std::move(peer));
+  const std::size_t rows = store.size();
+  const std::size_t bytes = store.memory_bytes();
+
+  CyclonShuffleMsg hostile;
+  hostile.entries.push_back(make_descriptor(space, 2, store.point_of(2)));
+  hostile.entries.push_back(make_descriptor(space, 1'000'000, {15, 15}));
+  auto d = frame_datagram(2, 0, hostile);
+  rig.a->inject_datagram(d.data(), d.size());
+  EXPECT_EQ(rig.a->metrics().node_value(0, "wire.decode_fail"), 1u);
+  EXPECT_EQ(store.size(), rows);
+  EXPECT_EQ(store.memory_bytes(), bytes);
+
+  // The node keeps answering: a well-formed exchange gets its reply.
+  CyclonShuffleMsg good;
+  good.entries.push_back(make_descriptor(space, 2, store.point_of(2)));
+  d = frame_datagram(2, 0, good);
+  rig.a->inject_datagram(d.data(), d.size());
+  ASSERT_TRUE(rig.pump([&] { return p2->received > 0; }));
+  EXPECT_EQ(p2->received, 1);
+  EXPECT_EQ(rig.a->metrics().total("wire.decode_fail"), 1u);
+  EXPECT_EQ(store.size(), rows);
 }
 
 }  // namespace

@@ -19,8 +19,8 @@ struct TextMsg final : Message {
   wire::Kind kind() const override { return kTextKind; }
 };
 
-// Registered so the suite also passes under codec-checked delivery
-// (ARES_WIRE=1), where every send round-trips through encode/decode.
+// Registered because loopback moves codec frames: every send is encoded,
+// and every delivery decodes the frame.
 const bool kTextCodec = [] {
   wire::register_codec(
       kTextKind,
@@ -180,12 +180,11 @@ TEST(LoopbackRuntime, MetricsRegistryIsShared) {
   EXPECT_EQ(rt.metrics().total("test.counter"), 2u);
 }
 
-TEST(LoopbackRuntime, CheckedDeliveryRecodesAndDropsUncodable) {
+TEST(LoopbackRuntime, RecodesAndDropsUncodable) {
   struct NoCodecMsg final : Message {
     const char* type_name() const override { return "test.nocodec"; }
     wire::Kind kind() const override { return static_cast<wire::Kind>(255); }
   };
-  wire::ScopedCheckedDelivery wire_true(true);
   LoopbackRuntime rt;
   NodeId a = rt.add_node(std::make_unique<EchoNode>());
   NodeId b = rt.add_node(std::make_unique<EchoNode>());
@@ -197,6 +196,35 @@ TEST(LoopbackRuntime, CheckedDeliveryRecodesAndDropsUncodable) {
   EXPECT_EQ(got[0].second, "over the wire");  // decoded copy, text intact
   EXPECT_EQ(rt.dropped(), 1u);
   EXPECT_EQ(rt.metrics().total("wire.encode_fail"), 1u);
+  EXPECT_EQ(rt.metrics().node_value(a, "wire.encode_fail"), 1u);
+}
+
+TEST(LoopbackRuntime, UndecodableFramesAreDroppedAndMetered) {
+  constexpr auto kBrokenKind = static_cast<wire::Kind>(254);
+  struct BrokenMsg final : Message {
+    const char* type_name() const override { return "test.broken"; }
+    wire::Kind kind() const override { return kBrokenKind; }
+  };
+  // A codec whose frames never parse back: encode succeeds, decode refuses.
+  wire::register_codec(kBrokenKind,
+                       {[](const Message&, wire::Writer& w) { w.u8(0); },
+                        [](wire::Reader&, wire::Kind) -> MessagePtr {
+                          return nullptr;
+                        }});
+  LoopbackRuntime rt;
+  NodeId a = rt.add_node(std::make_unique<EchoNode>());
+  NodeId b = rt.add_node(std::make_unique<EchoNode>());
+  rt.send(a, b, std::make_unique<BrokenMsg>());
+  rt.send(a, b, std::make_unique<TextMsg>("after"));
+  rt.deliver_pending();
+  auto& got = rt.find_as<EchoNode>(b)->received;
+  ASSERT_EQ(got.size(), 1u);  // the broken frame never reached the handler
+  EXPECT_EQ(got[0].second, "after");
+  EXPECT_EQ(rt.dropped(), 1u);
+  EXPECT_EQ(rt.delivered(), 1u);
+  EXPECT_EQ(rt.metrics().total("wire.decode_fail"), 1u);
+  EXPECT_EQ(rt.metrics().node_value(b, "wire.decode_fail"), 1u);
+  EXPECT_EQ(rt.metrics().total("wire.encode_fail"), 0u);
 }
 
 TEST(LoopbackRuntime, RngIsDeterministicPerSeed) {

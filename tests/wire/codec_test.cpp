@@ -758,16 +758,17 @@ TEST(WireProperty, CompressionMeetsTheBenchFloor) {
 }
 
 TEST(WireProperty, SizeIsStableAcrossRecode) {
-  // recode() (the ARES_WIRE=1 boundary path) must agree with wire_size()
-  // on both sides: no message changes size by crossing the wire.
+  // encode -> decode (the loopback and UDP boundary) must agree with
+  // wire_size() on both sides: no message changes size by crossing the wire.
   Rng rng(99);
   for (Kind k : kAllKinds) {
     MessagePtr m = make_random(k, rng);
     ASSERT_NE(m, nullptr);
-    auto rc = recode(*m);
-    ASSERT_NE(rc.msg, nullptr) << "kind " << static_cast<int>(k);
-    EXPECT_TRUE(rc.encode_ok);
-    EXPECT_EQ(m->wire_size(), rc.msg->wire_size());
+    const auto bytes = encode(*m);
+    EXPECT_FALSE(bytes.empty());
+    MessagePtr back = decode(bytes);
+    ASSERT_NE(back, nullptr) << "kind " << static_cast<int>(k);
+    EXPECT_EQ(m->wire_size(), back->wire_size());
   }
 }
 
