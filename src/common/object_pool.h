@@ -3,12 +3,14 @@
 /// \file object_pool.h
 /// Per-thread recycling pools for the gossip hot path: PoolNew recycles the
 /// fixed-size message objects themselves, VecPool recycles their entries
-/// buffers (capacity and all). Together they make a warm gossip cycle
-/// allocation-free — messages are created and destroyed once per exchange,
-/// so without pooling every tick would pay a new/delete pair plus a vector
-/// grow even though the sizes never change after warmup.
+/// buffers (capacity and all), and thread_scratch holds the transient
+/// selection buffers a gossip call works in. Together they make a warm
+/// gossip cycle allocation-free — messages are created and destroyed once
+/// per exchange, so without pooling every tick would pay a new/delete pair
+/// plus a vector grow even though the sizes never change after warmup — and
+/// keep per-node memory down to protocol state.
 ///
-/// Both pools are thread_local: exp::run_trials runs whole trials on worker
+/// All three are thread_local: exp::run_trials runs whole trials on worker
 /// threads, so a process-wide freelist would need locks on the hottest path
 /// (and would trip TSan). Each thread's freelist is released by its
 /// thread_local destructor, which keeps LeakSanitizer clean — CI runs the
@@ -93,5 +95,18 @@ class VecPool {
     return p;
   }
 };
+
+/// One S per thread: the transient buffers of a computation that a node
+/// used to keep warm per instance. A call fetches its scratch once and is
+/// done with it before it hands a message to the runtime — a synchronous
+/// backend (bench/micro_gossip) delivers on this thread, and the receiver's
+/// handler fetches the same instance. Buffers keep their capacity across
+/// calls, so warm calls do not allocate. Each component names its own S, so
+/// two components never share an instance.
+template <class S>
+S& thread_scratch() {
+  thread_local S s;
+  return s;
+}
 
 }  // namespace ares

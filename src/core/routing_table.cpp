@@ -74,16 +74,16 @@ void RoutingTable::insert_slot(std::size_t si, CompactPeer c) {
 void RoutingTable::offer(const PeerDescriptor& d) {
   if (d.id == self_id_) return;
   store_.put_if_absent(d.id, d.values);
-  auto slot = cells_.classify(self_coord_, d.coord);
-  if (!slot) return;  // defensive; classification always succeeds
+  auto slot = cells_.classify(self_coord_.data(), d.coord.data());
+  if (!slot) return;  // coords outside the space
   offer_classified({d.id, d.age}, *slot);
 }
 
 void RoutingTable::offer(CompactPeer c) {
   if (c.id == self_id_) return;
   assert(store_.contains(c.id));
-  auto slot = cells_.classify(self_coord_, store_.coord_of(c.id));
-  if (!slot) return;  // defensive; classification always succeeds
+  auto slot = cells_.classify(self_coord_.data(), store_.coord_ptr(c.id));
+  if (!slot) return;  // coords outside the space
   offer_classified(c, *slot);
 }
 

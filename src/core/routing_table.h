@@ -98,6 +98,13 @@ class RoutingTable {
 
   const CellCoord& self_coord() const { return self_coord_; }
 
+  /// The object plus the slot pool and neighborsZero storage it owns.
+  std::size_t memory_bytes() const {
+    return sizeof(*this) + pool_.capacity() * sizeof(CompactPeer) +
+           counts_.capacity() * sizeof(std::uint16_t) +
+           zero_.capacity() * sizeof(CompactPeer);
+  }
+
  private:
   std::size_t slot_index(int level, int dim) const;
   void offer_classified(CompactPeer c, const CellSlot& slot);

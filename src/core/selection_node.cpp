@@ -55,6 +55,23 @@ PeerDescriptor SelectionNode::descriptor() const {
   return PeerDescriptor{id(), values_, coord_, 0};
 }
 
+std::size_t SelectionNode::memory_bytes() const {
+  // A hash table: its bucket array (a one-bucket table keeps it inline) plus
+  // one node, a next pointer and the value, per element.
+  auto table_bytes = [](const auto& t) {
+    using Value = typename std::remove_cvref_t<decltype(t)>::value_type;
+    const std::size_t buckets = t.bucket_count() > 1 ? t.bucket_count() : 0;
+    return (buckets + t.size()) * sizeof(void*) + t.size() * sizeof(Value);
+  };
+  std::size_t n = sizeof(*this) + dynamic_values_.capacity() * sizeof(AttrValue) +
+                  bootstrap_.capacity() * sizeof(PeerDescriptor) +
+                  table_bytes(active_) + table_bytes(completed_);
+  n += shared_.size() * sizeof(decltype(shared_)::value_type);
+  if (rt_ != nullptr) n += rt_->memory_bytes();
+  if (cyclon_ != nullptr) n += cyclon_->memory_bytes() + vicinity_->memory_bytes();
+  return n;
+}
+
 void SelectionNode::start() {
   m_gossip_cycles_ = metrics().counter("gossip.cycles");
   m_query_timeouts_ = metrics().counter("query.timeouts");
@@ -77,10 +94,13 @@ void SelectionNode::start() {
   vicinity_ = std::make_unique<Vicinity>(id(), coord_, cells_, store_, cfg_.vicinity,
                                          rng_, send_fn);
 
-  cyclon_->seed(bootstrap_);
-  vicinity_->seed(bootstrap_, cyclon_->view());
-  for (const auto& c : bootstrap_) rt_->offer(c);
-  bootstrap_.clear();
+  // The introducers live on only as seeded links; the list's storage is
+  // released when this scope ends.
+  std::vector<PeerDescriptor> bootstrap;
+  bootstrap.swap(bootstrap_);
+  cyclon_->seed(bootstrap);
+  vicinity_->seed(bootstrap, cyclon_->view());
+  for (const auto& c : bootstrap) rt_->offer(c);
 
   if (cfg_.gossip_enabled) {
     // Random initial phase desynchronizes cycles across nodes.

@@ -150,6 +150,13 @@ class SelectionNode final : public Node {
   const ResultCache& result_cache() const { return cache_; }
   std::size_t shared_branches() const { return shared_.size(); }
 
+  /// The object plus the heap it owns: the bootstrap list (empty once
+  /// started), the routing table and gossip layers, and the query
+  /// bookkeeping tables (buckets plus one entry per in-flight or completed
+  /// query). What an in-flight query or a cached fragment holds inside its
+  /// entry is per-query state and is not counted.
+  std::size_t memory_bytes() const;
+
   // -- runtime Node -------------------------------------------------------
 
   void start() override;
@@ -238,7 +245,7 @@ class SelectionNode final : public Node {
   CellCoord coord_;
   AttrValues dynamic_values_;
   ProtocolConfig cfg_;
-  std::vector<PeerDescriptor> bootstrap_;
+  std::vector<PeerDescriptor> bootstrap_;  // consumed and released by start()
   Rng rng_;
   QueryObserver* observer_;
 

@@ -4,6 +4,15 @@
 
 namespace ares {
 
+namespace {
+
+/// Per-thread staging for an outgoing subset (common/object_pool.h).
+struct Scratch {
+  std::vector<CompactPeer> subset;
+};
+
+}  // namespace
+
 Cyclon::Cyclon(NodeId self, DescriptorStore& store, CyclonConfig cfg, Rng& rng,
                SendFn send)
     : self_(self), store_(store), cfg_(cfg), rng_(rng), send_(std::move(send)),
@@ -28,14 +37,14 @@ void Cyclon::tick() {
   // 2. Build the subset: self (age 0) plus up to shuffle_len-1 random others.
   auto msg = std::make_unique<CyclonShuffleMsg>();
   msg->is_reply = false;
-  view_.random_subset_into(rng_, cfg_.shuffle_len - 1, subset_scratch_);
-  subset_scratch_.push_back({self_, 0});
+  std::vector<CompactPeer>& subset = thread_scratch<Scratch>().subset;
+  view_.random_subset_into(rng_, cfg_.shuffle_len - 1, subset);
+  subset.push_back({self_, 0});
   msg->entries.clear();
-  msg->entries.reserve(subset_scratch_.size());
-  for (CompactPeer p : subset_scratch_)
-    msg->entries.push_back(materialize(store_, p));
+  msg->entries.reserve(subset.size());
+  for (CompactPeer p : subset) msg->entries.push_back(materialize(store_, p));
 
-  last_sent_.assign(subset_scratch_.begin(), subset_scratch_.end());
+  last_sent_.assign(subset.begin(), subset.end());
   send_(target.id, std::move(msg));
   // If the target is dead, the message is dropped and the dead link is
   // already gone from the view — CYCLON's built-in failure handling.
@@ -49,13 +58,15 @@ bool Cyclon::handle(NodeId from, const Message& m) {
     // Answer with a random subset of our own view, then merge theirs.
     auto reply = std::make_unique<CyclonShuffleMsg>();
     reply->is_reply = true;
-    view_.random_subset_into(rng_, cfg_.shuffle_len, sent_scratch_);
+    std::vector<CompactPeer>& sent = thread_scratch<Scratch>().subset;
+    view_.random_subset_into(rng_, cfg_.shuffle_len, sent);
     reply->entries.clear();
-    reply->entries.reserve(sent_scratch_.size());
-    for (CompactPeer p : sent_scratch_)
-      reply->entries.push_back(materialize(store_, p));
+    reply->entries.reserve(sent.size());
+    for (CompactPeer p : sent) reply->entries.push_back(materialize(store_, p));
+    // Merge before sending: `sent` is per-thread scratch, which a
+    // synchronous runtime's delivery of the reply would reuse.
+    merge(from, shuffle->entries, sent);
     send_(from, std::move(reply));
-    merge(from, shuffle->entries, sent_scratch_);
   } else {
     if (from == shuffle_partner_) shuffle_partner_ = kInvalidNode;
     merge(from, shuffle->entries, last_sent_);

@@ -73,6 +73,12 @@ class Cyclon {
   /// Purges a peer known to be unreachable.
   void remove(NodeId id) { view_.remove(id); }
 
+  /// The object plus the entry storage it owns (view and pending subset).
+  std::size_t memory_bytes() const {
+    return sizeof(*this) - sizeof(view_) + view_.memory_bytes() +
+           last_sent_.capacity() * sizeof(CompactPeer);
+  }
+
  private:
   void merge(NodeId peer, const std::vector<PeerDescriptor>& received,
              const std::vector<CompactPeer>& sent);
@@ -83,9 +89,7 @@ class Cyclon {
   Rng& rng_;
   SendFn send_;
   View view_;
-  std::vector<CompactPeer> last_sent_;      // subset sent in the ongoing shuffle
-  std::vector<CompactPeer> sent_scratch_;   // reply subset copy for merge()
-  std::vector<CompactPeer> subset_scratch_; // random-subset staging
+  std::vector<CompactPeer> last_sent_;  // subset sent in the ongoing shuffle
   NodeId shuffle_partner_ = kInvalidNode;
 };
 

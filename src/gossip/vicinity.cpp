@@ -4,6 +4,61 @@
 
 namespace ares {
 
+namespace {
+
+/// A staged candidate: key = (id << 32) | age, plus the staging position.
+/// The position is the dedupe tie-break: sorting by (key, idx) with
+/// std::sort yields exactly the order std::stable_sort by (id, age) would —
+/// without the temporary merge buffer stable_sort heap-allocates on every
+/// call.
+struct Staged {
+  std::uint64_t key;
+  std::uint32_t idx;
+  bool operator<(const Staged& o) const {
+    return key != o.key ? key < o.key : idx < o.idx;
+  }
+};
+
+/// Sort entries carry their keys inline: comparators touch only the entry
+/// itself. hi = (level << 5) | (dim + 1), lo = (age << 32) | id: one
+/// (hi, lo) comparison is the old (level, dim, age, id) lexicographic order.
+struct Ranked {
+  std::uint64_t hi;
+  std::uint64_t lo;
+  CompactPeer p;
+  bool operator<(const Ranked& o) const {
+    return hi != o.hi ? hi < o.hi : lo < o.lo;
+  }
+};
+
+std::uint64_t rank_hi(int level, int dim) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level)) << 5) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(dim + 1));
+}
+
+/// The staged (id, age) key halves swapped into (age << 32) | id: youngest
+/// first within a rank, id as the final tie-break.
+std::uint64_t rank_lo(const Staged& s) { return (s.key << 32) | (s.key >> 32); }
+
+CompactPeer peer_of(const Staged& s) {
+  return {static_cast<NodeId>(s.key >> 32), static_cast<std::uint32_t>(s.key)};
+}
+
+void stage(std::vector<Staged>& staged, CompactPeer p) {
+  staged.push_back({(static_cast<std::uint64_t>(p.id) << 32) | p.age,
+                    static_cast<std::uint32_t>(staged.size())});
+}
+
+}  // namespace
+
+struct Vicinity::Scratch {
+  std::vector<Staged> staged;
+  std::vector<Ranked> ranked;
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  std::vector<CompactPeer> subset;  // random-subset fallback
+  std::vector<CompactPeer> kept;    // merge() winners, swapped into view_
+};
+
 Vicinity::Vicinity(NodeId self, CellCoord self_coord, const Cells& cells,
                    DescriptorStore& store, VicinityConfig cfg, Rng& rng,
                    SendFn send)
@@ -54,11 +109,11 @@ bool Vicinity::handle(NodeId from, const Message& m, const View& cyclon_view) {
       store_.put_if_absent(requester->id, requester->values);
       subset_into(requester->id, cyclon_view, cfg_.exchange_len, reply->entries);
     } else {
-      view_.random_subset_into(rng_, cfg_.exchange_len, subset_scratch_);
+      std::vector<CompactPeer>& subset = thread_scratch<Scratch>().subset;
+      view_.random_subset_into(rng_, cfg_.exchange_len, subset);
       reply->entries.clear();
-      reply->entries.reserve(subset_scratch_.size());
-      for (CompactPeer p : subset_scratch_)
-        reply->entries.push_back(materialize(store_, p));
+      reply->entries.reserve(subset.size());
+      for (CompactPeer p : subset) reply->entries.push_back(materialize(store_, p));
     }
     send_(from, std::move(reply));
   }
@@ -68,101 +123,94 @@ bool Vicinity::handle(NodeId from, const Message& m, const View& cyclon_view) {
 
 void Vicinity::merge(const std::vector<PeerDescriptor>& received,
                      const View& cyclon_view) {
-  scratch_.clear();
-  for (const CompactPeer p : view_.entries()) stage(p);
+  Scratch& s = thread_scratch<Scratch>();
+  s.staged.clear();
+  for (const CompactPeer p : view_.entries()) stage(s.staged, p);
   for (const auto& d : received) {
     store_.put_if_absent(d.id, d.values);
-    stage({d.id, d.age});
+    stage(s.staged, {d.id, d.age});
   }
   // Exploit the CYCLON stream as an extra candidate source (two-layer
   // coupling from [9]): random entries occasionally fill empty slots.
-  for (const CompactPeer p : cyclon_view.entries()) stage(p);
-  // Winners land in kept_ before adopt() swaps it with the view; the
-  // displaced entries stay in kept_ as warm capacity for the next merge.
-  select_staged_into(cfg_.view_size, kept_);
-  view_.adopt(kept_);
+  for (const CompactPeer p : cyclon_view.entries()) stage(s.staged, p);
+  // Winners land in s.kept before adopt() swaps it with the view; the
+  // displaced entries stay in s.kept as warm capacity for the next merge.
+  select_staged_into(s, cfg_.view_size, s.kept);
+  view_.adopt(s.kept);
 }
 
-void Vicinity::dedupe_staged(NodeId exclude) const {
-  scratch_.erase(std::remove_if(scratch_.begin(), scratch_.end(),
-                                [&](const Staged& s) {
-                                  return static_cast<NodeId>(s.key >> 32) ==
-                                             exclude ||
-                                         static_cast<std::uint32_t>(s.key) >
-                                             cfg_.max_age;
-                                }),
-                 scratch_.end());
+void Vicinity::dedupe_staged(Scratch& s, NodeId exclude) const {
+  std::vector<Staged>& staged = s.staged;
+  staged.erase(std::remove_if(staged.begin(), staged.end(),
+                              [&](const Staged& e) {
+                                return peer_of(e).id == exclude ||
+                                       peer_of(e).age > cfg_.max_age;
+                              }),
+               staged.end());
   // key = (id << 32) | age sorts youngest-first per id; the staging index
   // breaks (id, age) ties so the first staged entry wins, matching the
   // old map's insertion-order tie-break. The explicit key keeps the sort
   // stable without std::stable_sort, whose temporary merge buffer would
   // heap-allocate on every exchange.
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const Staged& a, const Staged& b) {
-              return a.key != b.key ? a.key < b.key : a.idx < b.idx;
-            });
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end(),
-                             [](const Staged& a, const Staged& b) {
-                               return (a.key >> 32) == (b.key >> 32);
-                             }),
-                 scratch_.end());
+  std::sort(staged.begin(), staged.end());
+  staged.erase(std::unique(staged.begin(), staged.end(),
+                           [](const Staged& a, const Staged& b) {
+                             return peer_of(a).id == peer_of(b).id;
+                           }),
+               staged.end());
 }
 
 std::vector<PeerDescriptor> Vicinity::select_best(
     std::vector<PeerDescriptor> candidates, std::size_t cap) const {
-  scratch_.clear();
+  Scratch& s = thread_scratch<Scratch>();
+  s.staged.clear();
   for (const auto& c : candidates) {
     store_.put_if_absent(c.id, c.values);
-    stage({c.id, c.age});
+    stage(s.staged, {c.id, c.age});
   }
   std::vector<CompactPeer> kept;
-  select_staged_into(cap, kept);
+  select_staged_into(s, cap, kept);
   std::vector<PeerDescriptor> out;
   out.reserve(kept.size());
   for (CompactPeer p : kept) out.push_back(materialize(store_, p));
   return out;
 }
 
-void Vicinity::select_staged_into(std::size_t cap,
+void Vicinity::select_staged_into(Scratch& s, std::size_t cap,
                                   std::vector<CompactPeer>& out) const {
   // Dedupe by id, keeping the youngest entry; drop self and expired.
-  dedupe_staged(self_);
+  dedupe_staged(s, self_);
 
   // Group by routing slot relative to self. Key order: level asc, dim asc —
   // level-0 cohabitants first (neighborsZero must be complete), then the
   // near subcells. Groups become contiguous runs of the sorted flat array.
-  ranked_.clear();
-  for (const Staged& s : scratch_) {
-    const CompactPeer p{static_cast<NodeId>(s.key >> 32),
-                        static_cast<std::uint32_t>(s.key)};
-    auto slot = cells_.classify(self_coord_, store_.coord_of(p.id));
-    if (!slot) continue;  // defensive; cannot happen (see cells.h)
-    // lo swaps the staged (id, age) key halves into (age << 32) | id:
-    // youngest first within a slot group, id as the final tie-break.
-    ranked_.push_back(
-        {rank_hi(slot->level, slot->dim), (s.key << 32) | (s.key >> 32), p});
+  std::vector<Ranked>& ranked = s.ranked;
+  ranked.clear();
+  for (const Staged& e : s.staged) {
+    const CompactPeer p = peer_of(e);
+    auto slot = cells_.classify(self_coord_.data(), store_.coord_ptr(p.id));
+    if (!slot) continue;  // coords outside the space
+    ranked.push_back({rank_hi(slot->level, slot->dim), rank_lo(e), p});
   }
   // (hi, lo) = the old (level, dim, age, id) lexicographic order.
-  std::sort(ranked_.begin(), ranked_.end(), [](const Ranked& a, const Ranked& b) {
-    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-  });
-  groups_.clear();
-  for (std::size_t i = 0; i < ranked_.size();) {
+  std::sort(ranked.begin(), ranked.end());
+  s.groups.clear();
+  for (std::size_t i = 0; i < ranked.size();) {
     std::size_t j = i + 1;
-    while (j < ranked_.size() && ranked_[j].hi == ranked_[i].hi) ++j;
-    groups_.emplace_back(i, j);
+    while (j < ranked.size() && ranked[j].hi == ranked[i].hi) ++j;
+    s.groups.emplace_back(i, j);
     i = j;
   }
 
   // Round-robin across groups: first pass gives every slot one (young)
   // representative; later passes add backups until capacity.
   out.clear();
-  out.reserve(std::min(cap, ranked_.size()));
+  out.reserve(std::min(cap, ranked.size()));
   for (std::size_t round = 0; out.size() < cap; ++round) {
     bool any = false;
-    for (const auto& [begin, end] : groups_) {
+    for (const auto& [begin, end] : s.groups) {
       if (begin + round < end && out.size() < cap) {
-        out.push_back(ranked_[begin + round].p);
+        out.push_back(ranked[begin + round].p);
         any = true;
       }
     }
@@ -181,34 +229,32 @@ std::vector<PeerDescriptor> Vicinity::subset_for(const PeerDescriptor& target,
 
 void Vicinity::subset_into(NodeId target, const View& cyclon_view, std::size_t k,
                            std::vector<PeerDescriptor>& out) const {
-  scratch_.clear();
-  stage({self_, 0});  // always advertise ourselves
-  for (const CompactPeer p : view_.entries()) stage(p);
-  for (const CompactPeer p : cyclon_view.entries()) stage(p);
-  dedupe_staged(target);
+  Scratch& s = thread_scratch<Scratch>();
+  s.staged.clear();
+  stage(s.staged, {self_, 0});  // always advertise ourselves
+  for (const CompactPeer p : view_.entries()) stage(s.staged, p);
+  for (const CompactPeer p : cyclon_view.entries()) stage(s.staged, p);
+  dedupe_staged(s, target);
 
   // Rank by usefulness to the target: lowest common-cell level first (level
   // 0 = same zero cell = most useful), then youngest. The level is computed
   // once per candidate. Unclassifiable candidates rank last.
-  const CellCoord target_coord = store_.coord_of(target);
-  ranked_.clear();
-  for (const Staged& s : scratch_) {
-    const CompactPeer p{static_cast<NodeId>(s.key >> 32),
-                        static_cast<std::uint32_t>(s.key)};
-    auto slot = cells_.classify(target_coord, store_.coord_of(p.id));
-    ranked_.push_back({rank_hi(slot ? slot->level : kUnrankedLevel, 0),
-                       (s.key << 32) | (s.key >> 32), p});
+  const CellIndex* target_coord = store_.coord_ptr(target);
+  std::vector<Ranked>& ranked = s.ranked;
+  ranked.clear();
+  for (const Staged& e : s.staged) {
+    const CompactPeer p = peer_of(e);
+    auto slot = cells_.classify(target_coord, store_.coord_ptr(p.id));
+    ranked.push_back({rank_hi(slot ? slot->level : kUnrankedLevel, 0), rank_lo(e), p});
   }
   // (hi, lo) = the old (level, age, id) order (dim is constant here).
-  std::sort(ranked_.begin(), ranked_.end(), [](const Ranked& a, const Ranked& b) {
-    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-  });
+  std::sort(ranked.begin(), ranked.end());
 
-  const bool truncated = ranked_.size() > k;
-  if (truncated) ranked_.resize(k);
+  const bool truncated = ranked.size() > k;
+  if (truncated) ranked.resize(k);
   out.clear();
-  out.reserve(ranked_.size());
-  for (const auto& r : ranked_) out.push_back(materialize(store_, r.p));
+  out.reserve(ranked.size());
+  for (const auto& r : ranked) out.push_back(materialize(store_, r.p));
   if (truncated) {
     // Self must always be advertised (the remove-on-exploit washout relies
     // on a live partner re-entering through its reply): if truncation cut

@@ -109,16 +109,27 @@ class Vicinity {
   void subset_into(NodeId target, const View& cyclon_view, std::size_t k,
                    std::vector<PeerDescriptor>& out) const;
 
+  /// The object plus the entry storage it owns.
+  std::size_t memory_bytes() const {
+    return sizeof(*this) - sizeof(view_) + view_.memory_bytes();
+  }
+
  private:
+  /// Per-thread selection buffers (vicinity.cpp, common/object_pool.h).
+  /// Each entry point fetches them once and is done with them before it
+  /// calls send_.
+  struct Scratch;
+
   void merge(const std::vector<PeerDescriptor>& received, const View& cyclon_view);
 
-  /// Selection core over the candidates currently staged in scratch_; fills
-  /// `out` (clearing it first) with the winning handles.
-  void select_staged_into(std::size_t cap, std::vector<CompactPeer>& out) const;
+  /// Selection core over the candidates staged in `s`; fills `out`
+  /// (clearing it first) with the winning handles.
+  void select_staged_into(Scratch& s, std::size_t cap,
+                          std::vector<CompactPeer>& out) const;
 
-  /// Dedupes scratch_ by id, keeping the youngest entry (ties: first
-  /// staged); drops `exclude` and entries older than max_age.
-  void dedupe_staged(NodeId exclude) const;
+  /// Dedupes the staged candidates by id, keeping the youngest entry (ties:
+  /// first staged); drops `exclude` and entries older than max_age.
+  void dedupe_staged(Scratch& s, NodeId exclude) const;
 
   NodeId self_;
   CellCoord self_coord_;
@@ -129,42 +140,6 @@ class Vicinity {
   SendFn send_;
   View view_;
   bool explore_next_ = false;
-
-  // Reused per-exchange scratch; see the allocation notes in the history of
-  // this file. Mutable because the selection functions are conceptually
-  // const; a node's events run on one thread at a time (its shard's drain),
-  // so no synchronization.
-  /// Sort entries carry their keys inline: comparators touch only the entry
-  /// itself. hi = (level << 5) | (dim + 1), lo = (age << 32) | id: one
-  /// (hi, lo) comparison is the old (level, dim, age, id) lexicographic
-  /// order.
-  struct Ranked {
-    std::uint64_t hi;
-    std::uint64_t lo;
-    CompactPeer p;
-  };
-  static std::uint64_t rank_hi(int level, int dim) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(level)) << 5) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(dim + 1));
-  }
-  /// A staged candidate: key = (id << 32) | age, plus the staging position.
-  /// The position is the dedupe tie-break: sorting by (key, idx) with
-  /// std::sort yields exactly the order std::stable_sort by (id, age)
-  /// would — without the temporary merge buffer stable_sort heap-allocates
-  /// on every call.
-  struct Staged {
-    std::uint64_t key;
-    std::uint32_t idx;
-  };
-  void stage(CompactPeer p) const {
-    scratch_.push_back({(static_cast<std::uint64_t>(p.id) << 32) | p.age,
-                        static_cast<std::uint32_t>(scratch_.size())});
-  }
-  mutable std::vector<Staged> scratch_;
-  mutable std::vector<CompactPeer> subset_scratch_;  // random-subset fallback
-  mutable std::vector<Ranked> ranked_;
-  mutable std::vector<std::pair<std::size_t, std::size_t>> groups_;
-  std::vector<CompactPeer> kept_;  // merge() staging, swapped into view_
 };
 
 }  // namespace ares

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/object_pool.h"
+
 namespace ares {
 
 bool View::contains(NodeId id) const { return find(id) != nullptr; }
@@ -70,11 +72,15 @@ std::vector<CompactPeer> View::random_subset(Rng& rng, std::size_t k) const {
 
 void View::random_subset_into(Rng& rng, std::size_t k,
                               std::vector<CompactPeer>& out) const {
+  struct Scratch {
+    std::vector<std::size_t> idx;
+  };
+  std::vector<std::size_t>& idx = thread_scratch<Scratch>().idx;
   k = std::min(k, entries_.size());
-  rng.sample_indices_into(entries_.size(), k, idx_scratch_);
+  rng.sample_indices_into(entries_.size(), k, idx);
   out.clear();
   out.reserve(k);
-  for (std::size_t i : idx_scratch_) out.push_back(entries_[i]);
+  for (std::size_t i : idx) out.push_back(entries_[i]);
 }
 
 void View::assign(std::vector<CompactPeer> v) {

@@ -71,10 +71,14 @@ class View {
   /// left holding the previous entries (callers clear it on next use).
   void adopt(std::vector<CompactPeer>& v);
 
+  /// The object plus the entry storage it owns.
+  std::size_t memory_bytes() const {
+    return sizeof(*this) + entries_.capacity() * sizeof(CompactPeer);
+  }
+
  private:
   std::size_t capacity_;
   std::vector<CompactPeer> entries_;
-  mutable std::vector<std::size_t> idx_scratch_;  // random_subset_into scratch
 };
 
 }  // namespace ares

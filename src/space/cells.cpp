@@ -46,25 +46,6 @@ Region Cells::neighbor_region(const CellCoord& c, int level, int dim) const {
   return Region(ivs);
 }
 
-std::optional<CellSlot> Cells::classify(const CellCoord& self,
-                                        const CellCoord& other) const {
-  assert(self.size() == other.size());
-  // Smallest level at which the two share a cell. The whole space is the
-  // single C_max cell, so `level` is always well-defined.
-  int level = 0;
-  while (level < space_->max_level() && !same_cell(self, other, level)) ++level;
-  if (!same_cell(self, other, level)) return std::nullopt;  // defensive; unreachable
-  if (level == 0) return CellSlot{0, -1};
-  // `other` is in C_level(self) \ C_(level-1)(self): the slot dimension is the
-  // first dimension whose level-(l-1) half differs.
-  for (int j = 0; j < static_cast<int>(self.size()); ++j) {
-    auto s = static_cast<std::size_t>(j);
-    if (at_level(self[s], level - 1) != at_level(other[s], level - 1))
-      return CellSlot{level, j};
-  }
-  return std::nullopt;  // unreachable: levels differ => some half differs
-}
-
 std::uint32_t shard_of_coord(const AttributeSpace& space, const CellCoord& coord,
                              std::uint32_t shards) {
   if (shards <= 1) return 0;

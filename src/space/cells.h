@@ -16,6 +16,8 @@
 ///   - dim  j = k : Y's level-(l-1) index is X's sibling ("other half")
 ///   - dims j > k : Y anywhere inside C_l(X).
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 
@@ -54,14 +56,37 @@ class Cells {
   /// Precondition: 1 <= level <= max_level, 0 <= dim < d.
   Region neighbor_region(const CellCoord& c, int level, int dim) const;
 
-  /// Classifies where `other` sits relative to `self`:
+  /// Classifies where `other` sits relative to `self`, both given as rows of
+  /// d level-0 indices (DescriptorStore::coord_ptr, or CellCoord::data()):
   ///   - level 0  -> same level-0 cell (neighborsZero candidate)
   ///   - (l, k)   -> other in N(l,k)(self)
-  ///   - nullopt  -> other outside C_max(self)'s partition only when the two
-  ///     coords are identical in no valid slot, which cannot happen: the
-  ///     N(l,k) subcells plus C_0 partition the whole space. Hence this
-  ///     always returns a value; optional is kept for defensive callers.
-  std::optional<CellSlot> classify(const CellCoord& self, const CellCoord& other) const;
+  ///   - nullopt  -> the two differ at an index bit >= max_level, i.e. one
+  ///     of them lies outside the space. In-range coords always classify:
+  ///     the N(l,k) subcells plus C_0 partition the whole space.
+  ///
+  /// O(d) and branch-free over the dimensions. The two share C_l exactly
+  /// when every per-dimension XOR is below 2^l, so the smallest common
+  /// level is the bit width of the XORs' union. The slot dimension is the
+  /// first dimension whose XOR reaches bit level-1: its level-(l-1) half
+  /// differs, and every earlier dimension shares self's half.
+  std::optional<CellSlot> classify(const CellIndex* self, const CellIndex* other) const {
+    const int d = space_->dimensions();
+    CellIndex diff = 0;
+    for (int j = 0; j < d; ++j) diff |= self[j] ^ other[j];
+    const int level = std::bit_width(diff);
+    if (level == 0) return CellSlot{0, -1};
+    if (level > space_->max_level()) return std::nullopt;
+    const CellIndex half = CellIndex{1} << (level - 1);
+    std::uint32_t differs = 0;  // bit j: dimension j's half differs
+    for (int j = 0; j < d; ++j)
+      differs |= std::uint32_t{(self[j] ^ other[j]) >= half} << j;
+    return CellSlot{level, std::countr_zero(differs)};
+  }
+  std::optional<CellSlot> classify(const CellCoord& self, const CellCoord& other) const {
+    assert(self.size() == other.size());
+    assert(self.size() == static_cast<std::size_t>(space_->dimensions()));
+    return classify(self.data(), other.data());
+  }
 
   /// Stable hash key of the level-l cell containing `c` (keyed by level too,
   /// so keys from different levels never collide structurally).

@@ -12,7 +12,9 @@
 /// The DeltaDecodeFuzz cases aim the same attacks at the delta-coded
 /// descriptor lists of the gossip kinds, with entries that share the
 /// reference's dimensionality so the delta path (not the full-entry
-/// fallback) is what gets parsed.
+/// fallback) is what gets parsed. The last one feeds frames that decode
+/// cleanly yet name a peer id past the receiving store's rows to a node,
+/// whose ingress check must drop them.
 
 #include "wire/codecs.h"
 
@@ -21,6 +23,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/selection_node.h"
+#include "runtime/loopback.h"
 
 namespace ares::wire {
 namespace {
@@ -319,6 +323,52 @@ TEST(DeltaDecodeFuzz, OutOfRangeBitmapBitsAreRejected) {
   auto bad_flags = good;
   bad_flags[kFlags] = 0x02;
   EXPECT_EQ(decode(bad_flags), nullptr);
+}
+
+TEST(DeltaDecodeFuzz, CleanFramesNamingIdsPastTheStoreAreDroppedByTheNode) {
+  // Ids are plain varint deltas: the codec cannot know which ids a store
+  // has rows for, so these frames parse. The receiving node must drop each
+  // one whole, meter it, and leave the store as it was.
+  const auto space = AttributeSpace::uniform(5, 3, 0, 80);
+  DescriptorStore store(space);
+  LoopbackRuntime net;
+  ProtocolConfig cfg;
+  cfg.gossip_enabled = false;
+  for (NodeId id = 1; id <= 8; ++id) store.put(id, Point(5, 10 * id));  // peers' rows
+  const NodeId a = net.add_node(std::make_unique<SelectionNode>(  // id 0
+      space, store, Point(5, 40), cfg, std::vector<PeerDescriptor>{}, Rng(1)));
+  SelectionNode& node = *net.find_as<SelectionNode>(a);
+  const NodeId bound = store.id_bound();
+  const std::size_t rows = store.size();
+  const std::size_t store_bytes = store.memory_bytes();
+  const std::size_t node_bytes = node.memory_bytes();
+
+  Rng rng(0xDE17A6);
+  int frames = 0;
+  for (Kind k : kGossipKinds) {
+    for (int trial = 0; trial < 50; ++trial) {
+      auto entries = gossip_descriptors(rng, 1 + rng.below(6));
+      for (auto& e : entries) e.id = static_cast<NodeId>(rng.below(bound));
+      NodeId& hostile = entries[rng.index(entries.size())].id;
+      const std::uint64_t span = std::uint64_t{kInvalidNode} - bound + 1;
+      hostile = trial == 0 ? bound : static_cast<NodeId>(bound + rng.below(span));
+      const NodeId named = hostile;
+      const auto frame = gossip_frame(k, std::move(entries));
+      expect_total(frame);
+      MessagePtr m = decode(frame);
+      ASSERT_NE(m, nullptr) << "kind " << int(k) << " id " << named;
+      node.on_message(1, *m);  // as if from a registered peer
+      ++frames;
+    }
+  }
+  EXPECT_EQ(net.metrics().node_value(a, "wire.decode_fail"),
+            static_cast<std::uint64_t>(frames));
+  EXPECT_TRUE(node.cyclon().view().empty());
+  EXPECT_TRUE(node.vicinity().view().empty());
+  EXPECT_TRUE(net.idle());  // nothing answered
+  EXPECT_EQ(store.size(), rows);
+  EXPECT_EQ(store.memory_bytes(), store_bytes);
+  EXPECT_EQ(node.memory_bytes(), node_bytes);
 }
 
 }  // namespace
