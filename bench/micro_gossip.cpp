@@ -1,9 +1,10 @@
 /// Gossip steady-state microbenchmark with heap-allocation accounting.
 ///
 /// Drives a small cluster of CYCLON + Vicinity + RoutingTable stacks (the
-/// exact per-cycle work SelectionNode::gossip_tick performs) with immediate
-/// in-process message delivery, and reports ns and heap allocations per
-/// node-cycle at d in {2, 3, 5} in BENCH_micro_gossip.json.
+/// exact per-cycle work SelectionNode::gossip_tick performs, and the routing
+/// refresh SelectionNode::on_message runs after each gossip frame) with
+/// immediate in-process message delivery, and reports ns and heap
+/// allocations per node-cycle at d in {2, 3, 5} in BENCH_micro_gossip.json.
 ///
 /// The allocation count is a CI regression gate, like micro_sim's delivery
 /// gate: once warm, a gossip node-cycle — tick both layers, handle the
@@ -26,6 +27,7 @@
 #include "common/options.h"
 #include "common/rng.h"
 #include "core/routing_table.h"
+#include "core/selection_node.h"
 #include "exp/bench_json.h"
 #include "exp/reporting.h"
 #include "gossip/cyclon.h"
@@ -66,6 +68,26 @@ struct GossipHost {
   std::unique_ptr<Cyclon> cyclon;
   std::unique_ptr<Vicinity> vicinity;
   std::unique_ptr<RoutingTable> rt;
+  /// rt->losses() at the last full refresh; stale until the first one. (The
+  /// bench's store rows never move, so the losses are the whole epoch.)
+  std::uint32_t synced = ~std::uint32_t{0};
+
+  /// SelectionNode::refresh_routing(): every entry of both views.
+  void refresh_all() {
+    for (const CompactPeer c : cyclon->view().entries()) rt->offer(c);
+    for (const CompactPeer c : vicinity->view().entries()) rt->offer(c);
+    synced = rt->losses();
+  }
+
+  /// The refresh after a frame: the received entries `view` now holds.
+  void refresh(const View& view, const std::vector<PeerDescriptor>& received) {
+    if (synced != rt->losses()) {
+      refresh_all();
+      return;
+    }
+    for (const PeerDescriptor& d : received)
+      if (const CompactPeer* c = view.find(d.id)) rt->offer(*c);
+  }
 };
 
 /// A cluster of hosts exchanging messages synchronously (no simulator: the
@@ -116,16 +138,19 @@ class Cluster {
     h.cyclon->tick();
     h.vicinity->tick(h.cyclon->view());
     h.rt->age_all();
-    h.rt->drop_older_than(50);
-    for (const auto& d : h.cyclon->view().entries()) h.rt->offer(d);
-    for (const auto& d : h.vicinity->view().entries()) h.rt->offer(d);
+    h.rt->drop_older_than(ProtocolConfig{}.rt_max_age);
+    h.refresh_all();
   }
 
  private:
+  /// SelectionNode::on_message for a gossip frame.
   void deliver(NodeId from, NodeId to, MessagePtr m) {
     GossipHost& h = *hosts_[to];
-    if (h.cyclon->handle(from, *m)) return;
-    h.vicinity->handle(from, *m, h.cyclon->view());
+    if (h.cyclon->handle(from, *m)) {
+      h.refresh(h.cyclon->view(), static_cast<const CyclonShuffleMsg&>(*m).entries);
+    } else if (h.vicinity->handle(from, *m, h.cyclon->view())) {
+      h.refresh(h.vicinity->view(), static_cast<const VicinityExchangeMsg&>(*m).entries);
+    }
   }
 
   Rng rng_{42};

@@ -96,17 +96,7 @@ void RoutingTable::offer_classified(CompactPeer c, const CellSlot& slot) {
 }
 
 void RoutingTable::remove(NodeId id) {
-  zero_.erase(std::remove_if(zero_.begin(), zero_.end(),
-                             [id](CompactPeer e) { return e.id == id; }),
-              zero_.end());
-  for (std::size_t si = 0; si < counts_.size(); ++si) {
-    CompactPeer* base = &pool_[si * cfg_.slot_capacity];
-    std::uint16_t n = counts_[si];
-    std::uint16_t w = 0;
-    for (std::uint16_t i = 0; i < n; ++i)
-      if (base[i].id != id) base[w++] = base[i];
-    counts_[si] = w;
-  }
+  drop_if([id](CompactPeer e) { return e.id == id; });
 }
 
 void RoutingTable::age_all() {
@@ -118,22 +108,28 @@ void RoutingTable::age_all() {
 }
 
 void RoutingTable::drop_older_than(std::uint32_t max_age) {
-  zero_.erase(std::remove_if(zero_.begin(), zero_.end(),
-                             [max_age](CompactPeer e) { return e.age > max_age; }),
-              zero_.end());
-  for (std::size_t si = 0; si < counts_.size(); ++si) {
-    CompactPeer* base = &pool_[si * cfg_.slot_capacity];
-    std::uint16_t n = counts_[si];
-    std::uint16_t w = 0;
-    for (std::uint16_t i = 0; i < n; ++i)
-      if (base[i].age <= max_age) base[w++] = base[i];
-    counts_[si] = w;
-  }
+  drop_if([max_age](CompactPeer e) { return e.age > max_age; });
 }
 
 void RoutingTable::clear() {
+  if (!zero_.empty() || populated_slots() != 0) ++losses_;
   zero_.clear();
   std::fill(counts_.begin(), counts_.end(), 0);
+}
+
+template <class Pred>
+void RoutingTable::drop_if(Pred drop) {
+  bool lost = std::erase_if(zero_, drop) != 0;
+  for (std::size_t si = 0; si < counts_.size(); ++si) {
+    CompactPeer* base = &pool_[si * cfg_.slot_capacity];
+    const std::uint16_t n = counts_[si];
+    std::uint16_t w = 0;
+    for (std::uint16_t i = 0; i < n; ++i)
+      if (!drop(base[i])) base[w++] = base[i];
+    lost = lost || w != n;
+    counts_[si] = w;
+  }
+  if (lost) ++losses_;
 }
 
 const CompactPeer* RoutingTable::neighbor(int level, int dim) const {

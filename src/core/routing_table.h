@@ -62,6 +62,13 @@ class RoutingTable {
 
   void clear();
 
+  /// Calls to remove(), drop_older_than() and clear() that dropped at least
+  /// one entry. Between two such losses a slot holds the best
+  /// slot_capacity entries by (age, id) among the youngest offer per id, so
+  /// offering an entry again changes nothing; after a loss, an entry the
+  /// lost one had pushed out can fit again (SelectionNode::refresh_routing).
+  std::uint32_t losses() const { return losses_; }
+
   /// The paper's n(l,k): primary (youngest) candidate for slot (level,dim);
   /// nullptr when no node of that subcell is known (possibly an empty cell).
   const CompactPeer* neighbor(int level, int dim) const;
@@ -108,6 +115,9 @@ class RoutingTable {
  private:
   std::size_t slot_index(int level, int dim) const;
   void offer_classified(CompactPeer c, const CellSlot& slot);
+  /// Drops every entry matching `drop`; counts a loss if any went.
+  template <class Pred>
+  void drop_if(Pred drop);
   void insert_slot(std::size_t si, CompactPeer c);
   static void insert_sorted(std::vector<CompactPeer>& v, CompactPeer c,
                             std::size_t cap);
@@ -123,6 +133,7 @@ class RoutingTable {
   std::vector<CompactPeer> pool_;
   std::vector<std::uint16_t> counts_;
   std::vector<CompactPeer> zero_;
+  std::uint32_t losses_ = 0;
 };
 
 }  // namespace ares

@@ -101,6 +101,7 @@ void SelectionNode::start() {
   cyclon_->seed(bootstrap);
   vicinity_->seed(bootstrap, cyclon_->view());
   for (const auto& c : bootstrap) rt_->offer(c);
+  routing_synced_ = routing_epoch() - 1;  // the first refresh is a full one
 
   if (cfg_.gossip_enabled) {
     // Random initial phase desynchronizes cycles across nodes.
@@ -141,6 +142,20 @@ void SelectionNode::meter_cache() {
 void SelectionNode::refresh_routing() {
   for (const CompactPeer c : cyclon_->view().entries()) rt_->offer(c);
   for (const CompactPeer c : vicinity_->view().entries()) rt_->offer(c);
+  routing_synced_ = routing_epoch();
+}
+
+void SelectionNode::refresh_routing(const View& view,
+                                    const std::vector<PeerDescriptor>& received) {
+  if (routing_synced_ != routing_epoch()) {
+    refresh_routing();
+    return;
+  }
+  // A merge changes a view only by taking in received descriptors (the
+  // Vicinity selection also draws on the CYCLON view, all of whose entries
+  // the table has seen). Entries a merge drops stay in the table.
+  for (const PeerDescriptor& d : received)
+    if (const CompactPeer* c = view.find(d.id)) rt_->offer(*c);
 }
 
 void SelectionNode::set_values(Point values) {
@@ -157,6 +172,7 @@ void SelectionNode::set_values(Point values) {
       for (const CompactPeer e : rt_->slot(l, k)) known.push_back(e);
   rt_ = std::make_unique<RoutingTable>(cells_, coord_, id(), cfg_.routing, store_);
   for (const CompactPeer e : known) rt_->offer(e);
+  routing_synced_ = routing_epoch() - 1;  // the next refresh is a full one
   // Recreate gossip layers with the new self profile; views carry over
   // (materialized through the store: seed() re-registers ids idempotently).
   auto send_fn = [this](NodeId to, MessagePtr m) { send(to, std::move(m)); };
@@ -242,12 +258,14 @@ void SelectionNode::on_message(NodeId from, const Message& m) {
     metrics().inc(id(), m_decode_fail_);
     return;
   }
+  // handle() accepts exactly its layer's message type.
   if (cyclon_ != nullptr && cyclon_->handle(from, m)) {
-    refresh_routing();
+    refresh_routing(cyclon_->view(), static_cast<const CyclonShuffleMsg&>(m).entries);
     return;
   }
   if (vicinity_ != nullptr && vicinity_->handle(from, m, cyclon_->view())) {
-    refresh_routing();
+    refresh_routing(vicinity_->view(),
+                    static_cast<const VicinityExchangeMsg&>(m).entries);
     return;
   }
   if (const auto* q = dynamic_cast<const QueryMsg*>(&m)) {

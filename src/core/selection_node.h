@@ -236,13 +236,26 @@ class SelectionNode final : public Node {
   void resume(QueryState& st);
   void meter_cache();
   void gossip_tick();
+  /// Offers the table every entry of both gossip views (the gossip tick).
   void refresh_routing();
+  /// After a gossip frame: offers the table the entries of `view` (the
+  /// layer that handled the frame) named in `received`. An unchanged view
+  /// entry was offered before, so this equals a full refresh unless the
+  /// routing epoch moved since the last one — then it is a full refresh.
+  void refresh_routing(const View& view, const std::vector<PeerDescriptor>& received);
+  /// Changes whenever the table could rank an already-offered entry
+  /// differently: it lost an entry, or a peer's stored cell moved.
+  std::uint32_t routing_epoch() const { return rt_->losses() + store_.moves(); }
 
   const AttributeSpace& space_;
   DescriptorStore& store_;
   Cells cells_;
   Point values_;
   CellCoord coord_;
+  // routing_epoch() at the last full refresh (it fills the padding after
+  // coord_). start() and set_values() leave it stale: a new table has not
+  // seen the views.
+  std::uint32_t routing_synced_ = 0;
   AttrValues dynamic_values_;
   ProtocolConfig cfg_;
   std::vector<PeerDescriptor> bootstrap_;  // consumed and released by start()

@@ -22,13 +22,6 @@
 
 namespace ares {
 
-/// Sort level for candidates whose coordinates cannot be classified against
-/// the ranking target (e.g. a descriptor carrying out-of-range cell indices
-/// from a differently-cut space). They rank after every real level — the
-/// cell hierarchy never exceeds max_level <= 20, so 1 << 20 is above any
-/// classifiable common-cell level.
-inline constexpr int kUnrankedLevel = 1 << 20;
-
 /// Exchange request/reply. Pooled like CyclonShuffleMsg: message block and
 /// entries buffer are recycled per thread, so warm exchanges do not touch
 /// the heap.
@@ -94,11 +87,17 @@ class Vicinity {
   /// routing-slot coverage for this node — round-robin over slot groups
   /// (same-C0 first, then N(l,k) by ascending level), youngest first within
   /// a group. Exposed for tests.
+  ///
+  /// This and subset_for() take time linear in the candidates, plus a sort
+  /// of each small group: ids dedupe through a hash index and groups form
+  /// by counting sort (vicinity.cpp).
   std::vector<PeerDescriptor> select_best(std::vector<PeerDescriptor> candidates,
                                           std::size_t cap) const;
 
-  /// Entries most useful to `target` (lowest common-cell level first),
-  /// drawn from our view, the CYCLON view, and ourselves.
+  /// Entries most useful to `target` (lowest common-cell level first, then
+  /// youngest), drawn from our view, the CYCLON view, and ourselves.
+  /// Candidates that cannot be classified against the target (coordinates
+  /// outside the space) rank after every level.
   std::vector<PeerDescriptor> subset_for(const PeerDescriptor& target,
                                          const View& cyclon_view,
                                          std::size_t k) const;
@@ -122,14 +121,10 @@ class Vicinity {
 
   void merge(const std::vector<PeerDescriptor>& received, const View& cyclon_view);
 
-  /// Selection core over the candidates staged in `s`; fills `out`
-  /// (clearing it first) with the winning handles.
-  void select_staged_into(Scratch& s, std::size_t cap,
-                          std::vector<CompactPeer>& out) const;
-
-  /// Dedupes the staged candidates by id, keeping the youngest entry (ties:
-  /// first staged); drops `exclude` and entries older than max_age.
-  void dedupe_staged(Scratch& s, NodeId exclude) const;
+  /// Selection core over the candidates staged in `s` (youngest entry per
+  /// id, self and expired entries already dropped); fills `out` (clearing
+  /// it first) with the winning handles.
+  void select_into(Scratch& s, std::size_t cap, std::vector<CompactPeer>& out) const;
 
   NodeId self_;
   CellCoord self_coord_;

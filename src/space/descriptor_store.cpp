@@ -13,7 +13,8 @@ void DescriptorStore::put(NodeId id, const Point& values) {
     values_.resize(present_.size() * dims_, 0);
     coords_.resize(present_.size() * dims_, 0);
   }
-  if (present_[id] == 0) {
+  const bool registered = present_[id] != 0;
+  if (!registered) {
     present_[id] = 1;
     ++rows_;
   } else {
@@ -26,10 +27,14 @@ void DescriptorStore::put(NodeId id, const Point& values) {
     for (std::size_t i = 0; i < dims_; ++i) same = same && row[i] == values[i];
     if (same) return;
   }
+  bool moved = false;
   for (std::size_t i = 0; i < dims_; ++i) {
+    const CellIndex cell = space_->cell_index(static_cast<int>(i), values[i]);
+    moved = moved || coords_[id * dims_ + i] != cell;
     values_[id * dims_ + i] = values[i];
-    coords_[id * dims_ + i] = space_->cell_index(static_cast<int>(i), values[i]);
+    coords_[id * dims_ + i] = cell;
   }
+  if (registered && moved) ++moves_;
 }
 
 }  // namespace ares

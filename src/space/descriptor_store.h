@@ -89,6 +89,11 @@ class DescriptorStore {
   /// Number of registered rows.
   std::size_t size() const { return rows_; }
 
+  /// put()s that moved a registered row to another level-0 cell. Every
+  /// routing slot a peer occupies derives from its cell, so a table that
+  /// classified the peer before a move may place it elsewhere after.
+  std::uint32_t moves() const { return moves_; }
+
   /// Bytes held by the row arrays (the memory the 216-byte copies used to
   /// multiply; reported by the benchmarks).
   std::size_t memory_bytes() const {
@@ -100,6 +105,7 @@ class DescriptorStore {
   const AttributeSpace* space_;
   std::size_t dims_;
   std::size_t rows_ = 0;
+  std::uint32_t moves_ = 0;
   // SoA row arrays: these are the ONE place flat descriptor storage is the
   // point — inline-storage Points here would re-inflate every row to the
   // 216-byte layout this store exists to eliminate.

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "runtime/loopback.h"
 #include "space/descriptor_store.h"
@@ -95,8 +100,11 @@ TEST_F(VicinityUnit, SubsetForRanksByUsefulnessToTarget) {
 TEST_F(VicinityUnit, SubsetForRanksUnclassifiableCandidatesLast) {
   // A descriptor whose cached coordinates fall outside this space's grid
   // (e.g. minted against a differently-cut space) cannot be classified
-  // against the ranking target. It must sort at kUnrankedLevel — after
-  // every classifiable candidate — rather than being dropped or misordered.
+  // against the ranking target. It must sort after every classifiable
+  // candidate rather than being dropped or misordered. (The store
+  // re-derives coordinates from values, so here the rogue lands in the
+  // far corner cell; SelectionMatchesSortBasedReference below covers
+  // stored coordinates outside the space.)
   auto v = make_vicinity(make(1, 5, 5));
   PeerDescriptor rogue;
   rogue.id = 77;
@@ -108,8 +116,6 @@ TEST_F(VicinityUnit, SubsetForRanksUnclassifiableCandidatesLast) {
   auto subset = v.subset_for(make(99, 5, 6), cyclon_view, 3);
   ASSERT_EQ(subset.size(), 3u);  // self + classifiable + unclassifiable
   EXPECT_EQ(subset.back().id, 77u);
-  // The sentinel must outrank (sort after) every real common-cell level.
-  EXPECT_GT(kUnrankedLevel, space.max_level());
 }
 
 TEST_F(VicinityUnit, SubsetForAdvertisesSelf) {
@@ -250,6 +256,183 @@ TEST_F(VicinityUnit, IgnoresForeignMessages) {
     wire::Kind kind() const override { return wire::Kind::kTestBase; }
   } other;
   EXPECT_FALSE(v.handle(2, other, cyclon_view));
+}
+
+/// The sort-based selection Vicinity ran before its linear-time rewrite,
+/// kept as the reference order: dedupe by a stable sort on (id, age), then
+/// rank by a sort on (level, dim, age, id).
+struct ReferenceSelection {
+  struct Ranked {
+    int level = 0;
+    int dim = 0;
+    CompactPeer p;
+  };
+
+  static bool rank_less(const Ranked& a, const Ranked& b) {
+    return std::tie(a.level, a.dim, a.p.age, a.p.id) <
+           std::tie(b.level, b.dim, b.p.age, b.p.id);
+  }
+
+  std::vector<CompactPeer> dedupe(std::vector<CompactPeer> staged, NodeId exclude) const {
+    std::erase_if(staged, [&](CompactPeer p) {
+      return p.id == exclude || p.age > max_age;
+    });
+    std::stable_sort(staged.begin(), staged.end(), [](CompactPeer a, CompactPeer b) {
+      return a.id != b.id ? a.id < b.id : a.age < b.age;
+    });
+    auto same_id = [](CompactPeer a, CompactPeer b) { return a.id == b.id; };
+    staged.erase(std::unique(staged.begin(), staged.end(), same_id), staged.end());
+    return staged;
+  }
+
+  std::vector<CompactPeer> select_best(const std::vector<PeerDescriptor>& candidates,
+                                       std::size_t cap) const {
+    std::vector<CompactPeer> staged;
+    for (const auto& c : candidates) staged.push_back({c.id, c.age});
+    std::vector<Ranked> ranked;
+    for (const CompactPeer p : dedupe(std::move(staged), self)) {
+      auto slot = cells.classify(self_coord.data(), store.coord_ptr(p.id));
+      if (slot) ranked.push_back({slot->level, slot->dim, p});
+    }
+    std::sort(ranked.begin(), ranked.end(), rank_less);
+    std::vector<std::pair<std::size_t, std::size_t>> groups;
+    for (std::size_t i = 0; i < ranked.size();) {
+      std::size_t j = i + 1;
+      while (j < ranked.size() && ranked[j].level == ranked[i].level &&
+             ranked[j].dim == ranked[i].dim)
+        ++j;
+      groups.emplace_back(i, j);
+      i = j;
+    }
+    std::vector<CompactPeer> out;
+    for (std::size_t round = 0; out.size() < cap; ++round) {
+      bool any = false;
+      for (const auto& [begin, end] : groups) {
+        if (begin + round < end && out.size() < cap) {
+          out.push_back(ranked[begin + round].p);
+          any = true;
+        }
+      }
+      if (!any) break;
+    }
+    return out;
+  }
+
+  std::vector<CompactPeer> subset_for(NodeId target, const View& vicinity_view,
+                                      const View& cyclon_view, std::size_t k) const {
+    std::vector<CompactPeer> staged{{self, 0}};
+    for (const CompactPeer p : vicinity_view.entries()) staged.push_back(p);
+    for (const CompactPeer p : cyclon_view.entries()) staged.push_back(p);
+    std::vector<Ranked> ranked;
+    for (const CompactPeer p : dedupe(std::move(staged), target)) {
+      auto slot = cells.classify(store.coord_ptr(target), store.coord_ptr(p.id));
+      ranked.push_back({slot ? slot->level : std::numeric_limits<int>::max(), 0, p});
+    }
+    std::sort(ranked.begin(), ranked.end(), rank_less);
+    const bool truncated = ranked.size() > k;
+    if (truncated) ranked.resize(k);
+    std::vector<CompactPeer> out;
+    for (const Ranked& r : ranked) out.push_back(r.p);
+    bool has_self = false;
+    for (const CompactPeer p : out) has_self = has_self || p.id == self;
+    if (truncated && !has_self && !out.empty()) out.back() = {self, 0};
+    return out;
+  }
+
+  const Cells& cells;
+  const DescriptorStore& store;
+  NodeId self;
+  CellCoord self_coord;
+  std::uint32_t max_age;
+};
+
+/// (id, age) pairs: CompactPeer's operator== compares ids only.
+using IdAges = std::vector<std::pair<NodeId, std::uint32_t>>;
+
+IdAges id_ages(const std::vector<PeerDescriptor>& ds) {
+  IdAges out;
+  for (const auto& d : ds) out.emplace_back(d.id, d.age);
+  return out;
+}
+
+IdAges id_ages(const std::vector<CompactPeer>& ps) {
+  IdAges out;
+  for (const CompactPeer p : ps) out.emplace_back(p.id, p.age);
+  return out;
+}
+
+/// Entry for entry (id and age), the linear-time selection must reproduce
+/// the sort-based one: on thousands of random candidate sets with duplicate
+/// ids at different ages, self and the target among the candidates, ages
+/// past max_age, stored coordinates outside the space, and every cap or k
+/// from 0 to past the candidate count.
+TEST(VicinitySelectionOrder, SelectionMatchesSortBasedReference) {
+  constexpr NodeId kSelf = 0;
+  constexpr NodeId kTarget = 1;
+  constexpr NodeId kIds = 40;  // a small id pool, so ids repeat
+  constexpr std::uint32_t kMaxAge = 12;
+  const VicinityConfig cfg{.view_size = 20, .exchange_len = 10, .max_age = kMaxAge};
+  auto drop = [](NodeId, MessagePtr) {};
+  Rng rng(2024);
+  std::size_t compared = 0;
+  for (const int d : {1, 2, 5, 16}) {
+    for (const int levels : {1, 3, 6}) {
+      // Cells: width 10 on [0, 10 * 2^levels). The store's space has one
+      // level more with the same cuts, so its coordinates past the ranking
+      // space's last cell are outside that space and cannot be classified.
+      const AttrValue width = AttrValue{10} << levels;
+      const auto space = AttributeSpace::uniform(d, levels, 0, width);
+      const auto wide = AttributeSpace::uniform(d, levels + 1, 0, 2 * width);
+      const Cells cells(space);
+      DescriptorStore store(wide);
+      // One point in eight lies outside the ranking space (never self's).
+      auto random_point = [&](NodeId id) {
+        Point p;
+        for (int j = 0; j < d; ++j) p.push_back(rng.below(width));
+        if (id != kSelf && rng.below(8) == 0) p[rng.index(p.size())] += width;
+        return p;
+      };
+      // Ages run past max_age.
+      auto candidates = [&](std::size_t n) {
+        std::vector<PeerDescriptor> out;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto id = static_cast<NodeId>(rng.below(kIds));
+          const auto age = static_cast<std::uint32_t>(rng.below(kMaxAge + 4));
+          out.push_back(materialize(store, {id, age}));
+        }
+        return out;
+      };
+      SCOPED_TRACE("d=" + std::to_string(d) + " levels=" + std::to_string(levels));
+      for (int trial = 0; trial < 250; ++trial) {
+        for (NodeId id = 0; id < kIds; ++id) store.put(id, random_point(id));
+        const CellCoord self_coord = store.coord_of(kSelf);
+        Rng unused(1);
+        Vicinity v(kSelf, self_coord, cells, store, cfg, unused, drop);
+        const ReferenceSelection ref{cells, store, kSelf, self_coord, kMaxAge};
+
+        const auto cands = candidates(rng.below(60));
+        const std::size_t cap = rng.below(cands.size() + 4);
+        ASSERT_EQ(id_ages(v.select_best(cands, cap)),
+                  id_ages(ref.select_best(cands, cap)))
+            << "trial " << trial << ", cap " << cap;
+
+        // The view comes from a merge; the CYCLON view is filled directly,
+        // so it may hold self and the target.
+        v.seed(candidates(rng.below(40)), View(0));
+        View cyclon(20);
+        for (const auto& c : candidates(rng.below(25))) {
+          cyclon.insert_or_refresh({c.id, c.age});
+        }
+        const std::size_t k = rng.below(v.view().size() + cyclon.size() + 4);
+        const PeerDescriptor target = materialize(store, {kTarget, 0});
+        ASSERT_EQ(id_ages(v.subset_for(target, cyclon, k)),
+                  id_ages(ref.subset_for(kTarget, v.view(), cyclon, k)))
+            << "trial " << trial << ", k " << k;
+        compared += 2;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 6000u);
 }
 
 }  // namespace
