@@ -18,6 +18,7 @@
 /// AttributeSpace constructor enforces d <= capacity up front, so overflow
 /// here means a logic error, not bad user input.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -89,10 +90,7 @@ class InlineVec {
   /// Elementwise over [0, size): the uninitialized tail beyond size() must
   /// never participate (a defaulted == would compare raw storage).
   friend bool operator==(const InlineVec& a, const InlineVec& b) {
-    if (a.size_ != b.size_) return false;
-    for (size_type i = 0; i < a.size_; ++i)
-      if (!(a.elems_[i] == b.elems_[i])) return false;
-    return true;
+    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
   }
   friend bool operator!=(const InlineVec& a, const InlineVec& b) {
     return !(a == b);

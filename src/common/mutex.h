@@ -24,13 +24,13 @@
 ///      (Mutex::rank_checking_enabled() reports the build's state).
 ///
 /// Usage:
-///   class QueryStats {
-///     mutable Mutex mu_{"core.query_stats", lockrank::kQueryStats};
-///     std::map<QueryId, PerQuery> queries_ ARES_GUARDED_BY(mu_);
+///   class Pool {
+///     Mutex mu_{"sim.shard.pool", lockrank::kShardPool};
+///     std::uint64_t generation_ ARES_GUARDED_BY(mu_) = 0;
 ///   };
-///   void QueryStats::clear() {
+///   void Pool::advance() {
 ///     MutexLock lock(&mu_);
-///     queries_.clear();
+///     ++generation_;
 ///   }
 ///
 /// Adding a new mutex: pick the rank from the hierarchy table in
@@ -46,19 +46,14 @@
 
 namespace ares {
 
-/// The documented lock hierarchy (DESIGN.md §11). Ranks ascend from
-/// orchestration locks (held around pool handshakes) to leaf accounting
-/// locks (held for a few instructions); a thread holding rank r may only
-/// acquire ranks > r. Gaps are deliberate room for future locks.
+/// The documented lock hierarchy (DESIGN.md §11). Both production locks
+/// are pool handshakes; a thread holding rank r may only acquire ranks > r.
+/// Gaps are deliberate room for future locks.
 namespace lockrank {
 /// exp/parallel.cpp — first-exception slot of the trial worker pool.
 inline constexpr int kParallelPool = 10;
 /// sim/simulator.h — the shard worker pool's window-barrier handshake.
 inline constexpr int kShardPool = 20;
-/// core/query_stats.h — per-query observer accounting.
-inline constexpr int kQueryStats = 30;
-/// runtime/metrics.h — shared distribution registry.
-inline constexpr int kMetrics = 40;
 /// tests only: leaf rank above every production lock.
 inline constexpr int kTest = 1000;
 }  // namespace lockrank

@@ -1,66 +1,124 @@
 #include "core/query_stats.h"
 
-namespace ares {
+#include <algorithm>
+#include <cassert>
 
-void QueryStats::on_query_visited(QueryId q, NodeId node, bool matched,
-                                  bool is_origin) {
-  MutexLock lock(&mu_);
-  PerQuery& pq = queries_[q];
+#include "common/sorted.h"
+
+namespace ares {
+namespace {
+
+/// Adds one sink's row for a query into the summed row. The origin, the
+/// completion and a node's visits each land in one sink only.
+void add_row(QueryStats::PerQuery& into, const QueryStats::PerQuery& row) {
+  if (row.origin != kInvalidNode) into.origin = row.origin;
+  into.overhead += row.overhead;
+  into.hits += row.hits;
+  into.duplicates += row.duplicates;
+  into.forwards += row.forwards;
+  if (row.completed) {
+    into.completed = true;
+    into.result_size = row.result_size;
+  }
+  const auto visited_ids = sorted_elements(row.visited);
+  into.visited.insert(visited_ids.begin(), visited_ids.end());
+  const auto matched_ids = sorted_elements(row.matched_visited);
+  into.matched_visited.insert(matched_ids.begin(), matched_ids.end());
+}
+
+}  // namespace
+
+void QueryStats::Sink::on_query_visited(QueryId q, NodeId node, bool matched,
+                                        bool is_origin) {
+  PerQuery& pq = sink_rows_[q];
   if (is_origin) pq.origin = node;
 
   if (track_visited_) {
     if (!pq.visited.insert(node).second) {
       ++pq.duplicates;
-      ++total_duplicates_;
+      ++duplicates_;
       return;  // repeat visit: never recounted as hit or overhead
     }
     if (matched) pq.matched_visited.insert(node);
   }
   if (matched) {
     ++pq.hits;
-    ++total_hits_;
+    ++hits_;
   } else if (!is_origin) {
     ++pq.overhead;
-    ++total_overhead_;
+    ++overhead_;
   }
 }
 
-void QueryStats::on_query_forwarded(QueryId q, NodeId /*from*/, NodeId /*to*/,
-                                    int /*level*/, int /*dim*/) {
-  MutexLock lock(&mu_);
-  ++queries_[q].forwards;
-  ++total_forwards_;
+void QueryStats::Sink::on_query_forwarded(QueryId q, NodeId /*from*/,
+                                          NodeId /*to*/, int /*level*/,
+                                          int /*dim*/) {
+  ++sink_rows_[q].forwards;
+  ++forwards_;
 }
 
-void QueryStats::on_query_completed(QueryId q, NodeId origin,
-                                    const std::vector<MatchRecord>& matches) {
-  MutexLock lock(&mu_);
-  PerQuery& pq = queries_[q];
+void QueryStats::Sink::on_query_completed(QueryId q, NodeId origin,
+                                          const std::vector<MatchRecord>& matches) {
+  PerQuery& pq = sink_rows_[q];
   pq.origin = origin;
   pq.completed = true;
   pq.result_size = matches.size();
   ++completed_;
 }
 
+QueryStats::QueryStats(bool track_visited, std::uint32_t sinks) {
+  assert(sinks >= 1);
+  sinks_.reserve(sinks);
+  for (std::uint32_t i = 0; i < sinks; ++i) sinks_.emplace_back(track_visited);
+}
+
 const QueryStats::PerQuery* QueryStats::find(QueryId q) const {
-  MutexLock lock(&mu_);
-  // The returned pointer outlives the lock (map nodes are stable across
-  // inserts); reading through it is the quiescent contract in the header.
-  auto it = queries_.find(q);
-  return it == queries_.end() ? nullptr : &it->second;
+  const PerQuery* only = nullptr;
+  std::size_t holders = 0;
+  for (const Sink& s : sinks_) {
+    auto it = s.sink_rows_.find(q);
+    if (it == s.sink_rows_.end()) continue;
+    only = &it->second;
+    ++holders;
+  }
+  // A row only one sink holds is read in place; the sum is a copy.
+  if (holders < 2) return only;
+  PerQuery& sum_row = folded_[q] = PerQuery{};
+  for (const Sink& s : sinks_) {
+    auto it = s.sink_rows_.find(q);
+    if (it != s.sink_rows_.end()) add_row(sum_row, it->second);
+  }
+  return &sum_row;
+}
+
+const std::map<QueryId, QueryStats::PerQuery>& QueryStats::per_query() const {
+  folded_.clear();
+  for (const Sink& s : sinks_)
+    for (QueryId q : sorted_keys(s.sink_rows_)) add_row(folded_[q], s.sink_rows_.at(q));
+  return folded_;
+}
+
+std::uint64_t QueryStats::sum(std::uint64_t Sink::*field) const {
+  std::uint64_t total = 0;
+  for (const Sink& s : sinks_) total += s.*field;
+  return total;
 }
 
 double QueryStats::mean_overhead() const {
-  MutexLock lock(&mu_);
-  if (queries_.empty()) return 0.0;
-  return static_cast<double>(total_overhead_) / static_cast<double>(queries_.size());
+  std::vector<QueryId> ids;
+  for (const Sink& s : sinks_) {
+    const auto keys = sorted_keys(s.sink_rows_);
+    ids.insert(ids.end(), keys.begin(), keys.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  const auto distinct = std::unique(ids.begin(), ids.end()) - ids.begin();
+  if (distinct == 0) return 0.0;
+  return static_cast<double>(total_overhead()) / static_cast<double>(distinct);
 }
 
 void QueryStats::clear() {
-  MutexLock lock(&mu_);
-  queries_.clear();
-  total_overhead_ = total_hits_ = total_duplicates_ = total_forwards_ = 0;
-  completed_ = 0;
+  for (Sink& s : sinks_) s = Sink(s.track_visited_);
+  folded_.clear();
 }
 
 }  // namespace ares

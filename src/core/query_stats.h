@@ -11,27 +11,29 @@
 ///   - forwards: query-message hops (per query and total), the denominator
 ///     of hops-per-query in the throughput benchmarks.
 ///
-/// Mutators and accessors are internally locked: under the sharded
-/// simulator with concurrent in-flight queries (exp/load.h), observer
-/// callbacks fire on different shard workers within one lookahead window.
-/// Updates are commutative integer bumps into per-QueryId rows, so the
-/// post-run state is deterministic regardless of interleaving. Scalar
-/// accessors take the lock (cold path) and are safe mid-run; find() and
-/// per_query() hand out references into the map and remain quiescent-read
-/// contracts — call them post-run or between steps, never while shard
-/// workers may mutate (std::map nodes are stable across inserts, but the
-/// pointed-to rows are not locked once returned).
+/// Lock-free by ownership, on the per-shard NetworkStats discipline
+/// (sim/network.h). The observer callbacks write one Sink per simulator
+/// shard, and each node reports to the sink of the shard it was placed on
+/// (Grid::make_node). A sink therefore has one writer at a time — its
+/// shard's worker inside a drain, the coordinator between windows — and
+/// every visit of a given node lands in the same sink, so duplicate
+/// detection stays exact. The readers fold the sinks together when called.
+/// They are coordinator-only, like Network::stats(): call them post-run or
+/// between simulation steps, never while shard workers drain. Every count
+/// is a commutative sum over the event set, so folded state reads the same
+/// at any shard count.
 
+#include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
-#include "common/mutex.h"
-#include "common/summary.h"
 #include "core/selection_node.h"
 
 namespace ares {
 
-class QueryStats final : public QueryObserver {
+class QueryStats {
  public:
   struct PerQuery {
     NodeId origin = kInvalidNode;
@@ -45,67 +47,75 @@ class QueryStats final : public QueryObserver {
     std::unordered_set<NodeId> matched_visited;  // iff track_visited
   };
 
+  /// One shard's share of the accounting: the observer that shard's nodes
+  /// call. Single writer (see the file comment); cache-line aligned because
+  /// neighbouring sinks are written by different workers.
+  class alignas(64) Sink final : public QueryObserver {
+   public:
+    explicit Sink(bool track_visited) : track_visited_(track_visited) {}
+
+    void on_query_visited(QueryId q, NodeId node, bool matched,
+                          bool is_origin) override;
+    void on_query_forwarded(QueryId q, NodeId from, NodeId to, int level,
+                            int dim) override;
+    void on_query_completed(QueryId q, NodeId origin,
+                            const std::vector<MatchRecord>& matches) override;
+
+   private:
+    friend class QueryStats;
+
+    bool track_visited_;
+    std::unordered_map<QueryId, PerQuery> sink_rows_;
+    std::uint64_t overhead_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t duplicates_ = 0;
+    std::uint64_t forwards_ = 0;
+    std::uint64_t completed_ = 0;
+  };
+
   /// \param track_visited keep per-query visited sets (exact duplicate and
   ///        delivery accounting). Disable for very large sweeps; duplicates
   ///        then read 0 and `hits` counts deliveries, which is identical as
   ///        long as the protocol keeps its exactly-once property.
-  explicit QueryStats(bool track_visited = true) : track_visited_(track_visited) {}
+  /// \param sinks one per simulator shard, >= 1
+  explicit QueryStats(bool track_visited = true, std::uint32_t sinks = 1);
 
-  void on_query_visited(QueryId q, NodeId node, bool matched,
-                        bool is_origin) override;
-  void on_query_forwarded(QueryId q, NodeId from, NodeId to, int level,
-                          int dim) override;
-  void on_query_completed(QueryId q, NodeId origin,
-                          const std::vector<MatchRecord>& matches) override;
+  // Nodes hold pointers to the sinks.
+  QueryStats(const QueryStats&) = delete;
+  QueryStats& operator=(const QueryStats&) = delete;
 
-  /// Locked lookup; the returned row is a quiescent-read contract (see
-  /// file comment). nullptr when the query was never observed.
-  const PerQuery* find(QueryId q) const ARES_EXCLUDES(mu_);
+  /// The observer for the nodes on simulator shard `shard`.
+  Sink& sink(std::uint32_t shard) { return sinks_[shard]; }
 
-  /// Ordered by QueryId so consumers that iterate (reports, per-query CSV
-  /// dumps) see a deterministic sequence. Quiescent-read contract: the
-  /// analysis cannot see past the returned reference, so the lock would be
-  /// theater — callers iterate post-run only.
-  const std::map<QueryId, PerQuery>& per_query() const
-      ARES_NO_THREAD_SAFETY_ANALYSIS {
-    return queries_;
-  }
+  /// The query's row summed over every sink that saw it; nullptr when none
+  /// did. Valid until the next per_query() or clear().
+  const PerQuery* find(QueryId q) const;
 
-  std::uint64_t total_overhead() const ARES_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return total_overhead_;
-  }
-  std::uint64_t total_hits() const ARES_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return total_hits_;
-  }
-  std::uint64_t total_duplicates() const ARES_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return total_duplicates_;
-  }
-  std::uint64_t total_forwards() const ARES_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return total_forwards_;
-  }
-  std::uint64_t completed_count() const ARES_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return completed_;
-  }
+  /// Every row summed over the sinks, ordered by QueryId so consumers that
+  /// iterate (reports, per-query dumps) see a deterministic sequence.
+  /// Rebuilt on each call.
+  const std::map<QueryId, PerQuery>& per_query() const;
 
-  /// Mean routing overhead per observed query.
-  double mean_overhead() const ARES_EXCLUDES(mu_);
+  std::uint64_t total_overhead() const { return sum(&Sink::overhead_); }
+  std::uint64_t total_hits() const { return sum(&Sink::hits_); }
+  std::uint64_t total_duplicates() const { return sum(&Sink::duplicates_); }
+  std::uint64_t total_forwards() const { return sum(&Sink::forwards_); }
+  std::uint64_t completed_count() const { return sum(&Sink::completed_); }
 
-  void clear() ARES_EXCLUDES(mu_);
+  /// Mean routing overhead per observed query: the total over the number of
+  /// distinct query ids any sink saw. With coalescing on, a shared
+  /// traversal's synthetic id counts as a query too.
+  double mean_overhead() const;
+
+  void clear();
 
  private:
-  const bool track_visited_;  // set at construction, immutable after
-  mutable Mutex mu_{"core.query_stats", lockrank::kQueryStats};
-  std::map<QueryId, PerQuery> queries_ ARES_GUARDED_BY(mu_);
-  std::uint64_t total_overhead_ ARES_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_hits_ ARES_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_duplicates_ ARES_GUARDED_BY(mu_) = 0;
-  std::uint64_t total_forwards_ ARES_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ ARES_GUARDED_BY(mu_) = 0;
+  std::uint64_t sum(std::uint64_t Sink::*field) const;
+
+  std::vector<Sink> sinks_;  // sized once at construction, never reallocated
+  /// Summed copies handed out by find() (rows held by several sinks) and
+  /// per_query().
+  mutable std::map<QueryId, PerQuery> folded_;
 };
 
 }  // namespace ares

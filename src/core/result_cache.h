@@ -26,7 +26,7 @@
 /// (SelectionNode::gossip_tick) and are dropped past a configured horizon,
 /// so churn-induced staleness is bounded by horizon x gossip_period. With
 /// gossip disabled entries never age — a static deployment cannot go stale.
-/// Staleness is metered (stats().stale_drops, hit ages), never silent.
+/// Staleness is metered (stats().stale_drops), never silent.
 
 #include <cstdint>
 #include <list>

@@ -359,7 +359,6 @@ void SelectionNode::continue_query(QueryState& st) {
                 cache_.lookup(make_fragment_key(space_, subcell, q.query))) {
           // A fresh complete fragment with exactly this (subcell, clamped
           // ranges) identity: the whole branch resolves locally.
-          metrics().observe("query.cache_hit_age", static_cast<double>(e->age));
           merge_records(st.matching, e->records);
           meter_cache();
           q.dims_mask &= ~bit;
@@ -523,7 +522,6 @@ void SelectionNode::finish(QueryState& st) {
   std::vector<MatchRecord> matches = std::move(st.matching);
 
   if (st.is_origin) {
-    metrics().observe("query.result_size", static_cast<double>(matches.size()));
     if (observer_ != nullptr) observer_->on_query_completed(qid, id(), matches);
     if (st.done) st.done(matches);
   } else {

@@ -24,16 +24,19 @@ Grid::Grid(Config cfg, PointGenerator generator)
     : cfg_(std::move(cfg)),
       generator_(std::move(generator)),
       store_(std::make_unique<DescriptorStore>(cfg_.space)),
-      stats_(std::make_unique<QueryStats>(cfg_.track_visited)),
       node_seeder_(cfg_.seed ^ 0xA5A5A5A5ULL) {
   assert(generator_ != nullptr);
+  if (cfg_.trace_queries && cfg_.shards > 1)
+    throw std::invalid_argument("Grid: trace_queries needs shards == 1");
   auto latency = latency_from_name(cfg_.latency, cfg_.seed);
   // The latency floor is the lookahead window: every message crosses a
   // window barrier, which is what makes the sharded drain deterministic.
   sim_ = std::make_unique<Simulator>(cfg_.seed, cfg_.shards, latency->min_latency());
+  // One sink per shard, sized by the count the Simulator just validated.
+  stats_ = std::make_unique<QueryStats>(cfg_.track_visited, cfg_.shards);
   net_ = std::make_unique<Network>(*sim_, std::move(latency));
   store_->reserve(cfg_.nodes);
-  if (cfg_.trace_queries) tracer_ = std::make_unique<QueryTracer>(stats_.get());
+  if (cfg_.trace_queries) tracer_ = std::make_unique<QueryTracer>(&stats_->sink(0));
   for (std::size_t i = 0; i < cfg_.nodes; ++i) add_node();
   if (cfg_.oracle) {
     rebootstrap();
@@ -44,10 +47,11 @@ Grid::Grid(Config cfg, PointGenerator generator)
 
 Grid::~Grid() = default;
 
-std::unique_ptr<Node> Grid::make_node(Point values) {
+std::unique_ptr<Node> Grid::make_node(Point values, std::uint32_t shard) {
   auto introducers = sample_introducers(cfg_.bootstrap_contacts);
-  QueryObserver* observer =
-      tracer_ != nullptr ? static_cast<QueryObserver*>(tracer_.get()) : stats_.get();
+  QueryObserver* observer = tracer_ != nullptr
+                                ? static_cast<QueryObserver*>(tracer_.get())
+                                : &stats_->sink(shard);
   return std::make_unique<SelectionNode>(cfg_.space, *store_, std::move(values),
                                          cfg_.protocol, std::move(introducers),
                                          node_seeder_.fork(), observer);
@@ -68,7 +72,7 @@ std::vector<PeerDescriptor> Grid::sample_introducers(std::size_t k) {
 NodeId Grid::add_node(Point values) {
   const std::uint32_t shard =
       shard_of_coord(cfg_.space, cfg_.space.coord_of(values), cfg_.shards);
-  return net_->add_node(make_node(std::move(values)), shard);
+  return net_->add_node(make_node(std::move(values), shard), shard);
 }
 
 NodeId Grid::add_node() { return add_node(generator_(node_seeder_)); }
@@ -95,7 +99,9 @@ SelectionNode& Grid::node(NodeId id) {
 }
 
 ChurnDriver::NodeFactory Grid::churn_factory() {
-  return [this] { return make_node(generator_(node_seeder_)); };
+  // ChurnDriver adds its nodes on shard 0 (Network::add_node's default), so
+  // they report to sink 0.
+  return [this] { return make_node(generator_(node_seeder_), /*shard=*/0); };
 }
 
 void Grid::rebootstrap() { oracle_bootstrap(*net_, cfg_.space, cfg_.oracle_options); }

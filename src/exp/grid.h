@@ -51,13 +51,15 @@ class Grid {
     /// Keep exact per-query visited sets in the stats observer.
     bool track_visited = true;
     /// Record full dissemination trees (see QueryTracer); costs memory per
-    /// query, so off by default.
+    /// query, so off by default. Needs shards == 1: the tracer's maps have
+    /// no synchronisation, so any other shard count throws
+    /// std::invalid_argument.
     bool trace_queries = false;
     /// Simulator shards, in [1, 64]: nodes are partitioned by cell prefix
     /// (shard_of_coord) and drained inside lookahead-window barriers, by a
-    /// worker thread per shard when S > 1. Outputs are byte-identical at ANY
-    /// shard count (see DESIGN.md §8). Out of range throws
-    /// std::invalid_argument.
+    /// worker thread per shard when S > 1. Each shard's nodes report to
+    /// their own QueryStats sink. Outputs are byte-identical at ANY shard
+    /// count (see DESIGN.md §8). Out of range throws std::invalid_argument.
     std::uint32_t shards = 1;
   };
 
@@ -118,7 +120,9 @@ class Grid {
   std::vector<NodeId> ground_truth(const RangeQuery& q);
 
  private:
-  std::unique_ptr<Node> make_node(Point values);
+  /// A SelectionNode reporting to the stats sink of simulator shard
+  /// `shard`, the shard the caller places it on.
+  std::unique_ptr<Node> make_node(Point values, std::uint32_t shard);
   std::vector<PeerDescriptor> sample_introducers(std::size_t k);
 
   Config cfg_;
@@ -126,8 +130,8 @@ class Grid {
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<DescriptorStore> store_;
   std::unique_ptr<Network> net_;
-  std::unique_ptr<QueryStats> stats_;
-  std::unique_ptr<QueryTracer> tracer_;  // wraps stats_ when tracing
+  std::unique_ptr<QueryStats> stats_;    // one sink per simulator shard
+  std::unique_ptr<QueryTracer> tracer_;  // wraps sink 0 when tracing
   Rng node_seeder_;
 };
 

@@ -19,14 +19,6 @@ const Metrics::Slot* Metrics::find(std::string_view name) const {
   return it == index_.end() ? nullptr : &slots_[it->second];
 }
 
-void Metrics::observe(std::string_view name, double value) {
-  MutexLock lock(&observe_mu_);
-  auto it = distributions_.find(name);
-  if (it == distributions_.end())
-    it = distributions_.emplace(std::string(name), Summary{}).first;
-  it->second.add(value);
-}
-
 std::uint64_t Metrics::total(std::string_view name) const {
   const Slot* s = find(name);
   if (s == nullptr) return 0;
@@ -60,12 +52,6 @@ std::vector<std::pair<NodeId, std::uint64_t>> Metrics::by_node(
   return out;
 }
 
-const Summary* Metrics::distribution(std::string_view name) const {
-  MutexLock lock(&observe_mu_);
-  auto it = distributions_.find(name);
-  return it == distributions_.end() ? nullptr : &it->second;
-}
-
 std::vector<std::string> Metrics::counter_names() const {
   std::vector<std::string> out;
   for (const auto& s : slots_) {
@@ -79,8 +65,6 @@ std::vector<std::string> Metrics::counter_names() const {
 
 void Metrics::clear() {
   for (auto& s : slots_) s.by_node.assign(reserved_nodes_, 0);
-  MutexLock lock(&observe_mu_);
-  distributions_.clear();
 }
 
 }  // namespace ares

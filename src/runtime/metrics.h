@@ -2,10 +2,11 @@
 
 /// \file metrics.h
 /// Per-node instrumentation registry — the measurement seam between the
-/// protocol core and the experiment layer. Protocol code records named
-/// counters and value observations against its own NodeId without knowing
-/// who (if anyone) is listening; the experiment layer aggregates across
-/// nodes after (or during) a run.
+/// protocol core and the experiment layer. Protocol code bumps named
+/// counters against its own NodeId without knowing who (if anyone) is
+/// listening; the experiment layer aggregates across nodes after (or
+/// during) a run. Each node writes only its own rows, so the registry needs
+/// no lock.
 ///
 /// The registry is owned by the Runtime a node is attached to, so the same
 /// protocol code is metered identically under the discrete-event simulator,
@@ -25,8 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/summary.h"
 #include "common/types.h"
 
 namespace ares {
@@ -48,15 +47,6 @@ class Metrics {
     inc(node, counter(name), delta);
   }
 
-  /// Adds a sample to the named distribution (merged across all nodes).
-  /// Internally locked: unlike counters (single-writer per-node rows),
-  /// distributions are shared, and concurrent queries under the sharded
-  /// simulator complete on different workers within one window. Do not
-  /// print order-sensitive aggregates of concurrently-observed
-  /// distributions in deterministic output (sample order is interleaving-
-  /// dependent; counts and quantiles are safe).
-  void observe(std::string_view name, double value) ARES_EXCLUDES(observe_mu_);
-
   /// Sum of the named counter over all nodes (0 when never bumped).
   std::uint64_t total(std::string_view name) const;
 
@@ -66,13 +56,6 @@ class Metrics {
   /// Per-node nonzero values of the named counter (empty when never
   /// bumped). Iteration order is by NodeId (ascending).
   std::vector<std::pair<NodeId, std::uint64_t>> by_node(std::string_view name) const;
-
-  /// The named distribution; nullptr when never observed. The lookup is
-  /// locked and the returned node is stable across later observe() calls
-  /// (std::map), but reading the Summary's contents while observers may
-  /// still run is a quiescent-read contract.
-  const Summary* distribution(std::string_view name) const
-      ARES_EXCLUDES(observe_mu_);
 
   /// All counter names bumped so far (interned-but-untouched names are
   /// excluded), sorted.
@@ -84,10 +67,10 @@ class Metrics {
   /// so worker-phase increments are plain writes to pre-existing rows.
   void reserve_nodes(std::size_t n);
 
-  /// Drops all counter values and distributions (between experiment
-  /// phases). Interned handles stay valid. Coordinator-only, like every
-  /// other registry mutation outside observe().
-  void clear() ARES_EXCLUDES(observe_mu_);
+  /// Drops all counter values (between experiment phases). Interned
+  /// handles stay valid. Coordinator-only, like every other registry
+  /// mutation outside inc().
+  void clear();
 
  private:
   struct Slot {
@@ -99,16 +82,12 @@ class Metrics {
 
   std::vector<Slot> slots_;
   std::size_t reserved_nodes_ = 0;
-  mutable Mutex observe_mu_{"runtime.metrics.observe", lockrank::kMetrics};
   // Keys are owned copies (not views into slots_: Slot moves on vector
   // growth would dangle SSO string views). std::less<> gives heterogeneous
   // string_view lookup; interning is cold, so a tree map is fine.
   // slots_/index_ mutate on the coordinator only (counter() interning,
-  // reserve_nodes() on join); distributions_ is the one registry map shard
-  // workers write, hence the capability.
+  // reserve_nodes() on join).
   std::map<std::string, Counter, std::less<>> index_;
-  std::map<std::string, Summary, std::less<>> distributions_
-      ARES_GUARDED_BY(observe_mu_);
 };
 
 inline void Metrics::inc(NodeId node, Counter c, std::uint64_t delta) {

@@ -22,7 +22,8 @@ namespace ares {
 class ChurnDriver {
  public:
   /// Creates a replacement node (fresh attributes + bootstrap contact); the
-  /// network assigns its identity on add.
+  /// network assigns its identity on add, and ChurnDriver places it on
+  /// simulator shard 0 (Grid::churn_factory relies on that).
   using NodeFactory = std::function<std::unique_ptr<Node>()>;
 
   explicit ChurnDriver(Network& net, NodeFactory factory = nullptr);

@@ -48,7 +48,7 @@ TEST(MutexTest, AscendingRankAcquisitionIsAllowed) {
   // Acquiring in strictly increasing rank order is the sanctioned nesting;
   // must not trip the debug rank checker.
   Mutex low{"test.rank.low", lockrank::kParallelPool};
-  Mutex high{"test.rank.high", lockrank::kMetrics};
+  Mutex high{"test.rank.high", lockrank::kShardPool};
   MutexLock a(&low);
   MutexLock b(&high);
   SUCCEED();
@@ -94,11 +94,11 @@ TEST(CondVarTest, NotifyAllWakesEveryWaiter) {
   EXPECT_EQ(awake, kWaiters);
 }
 
-// Descending rank (kMetrics then kQueryStats) inverts the DESIGN.md §11
-// order; the checker must abort naming both mutexes.
+// Descending rank (kShardPool then kParallelPool) inverts the DESIGN.md
+// §11 order; the checker must abort naming both mutexes.
 void acquire_out_of_rank() {
-  Mutex outer{"test.rank.outer", lockrank::kMetrics};
-  Mutex inner{"test.rank.inner", lockrank::kQueryStats};
+  Mutex outer{"test.rank.outer", lockrank::kShardPool};
+  Mutex inner{"test.rank.inner", lockrank::kParallelPool};
   MutexLock a(&outer);
   MutexLock b(&inner);
 }

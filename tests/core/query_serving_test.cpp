@@ -157,8 +157,8 @@ TEST(ResultCacheProperty, ChurnStalenessIsBoundedToLivenessAndMetered) {
   std::deque<Probe> probes;
   for (int pass = 0; pass < 6; ++pass) {
     for (const auto& q : pool) {
-      probes.push_back(Probe{q});
-      Probe* p = &probes.back();
+      Probe* p = &probes.emplace_back();
+      p->q = q;
       grid.node(grid.random_node())
           .submit(q, kNoSigma, [p, &grid](const std::vector<MatchRecord>& m) {
             p->completed = true;
@@ -181,8 +181,9 @@ TEST(ResultCacheProperty, ChurnStalenessIsBoundedToLivenessAndMetered) {
       // LIVENESS (the node has since left), never about VALUES — fresh
       // ground truth excludes a returned node only if that node is gone.
       EXPECT_TRUE(p.q.matches(m.values));
-      if (!p.truth_at_done.contains(m.id))
+      if (!p.truth_at_done.contains(m.id)) {
         EXPECT_FALSE(p.alive_at_done.contains(m.id));
+      }
     }
   }
   EXPECT_GT(completed, pool.size());

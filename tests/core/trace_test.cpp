@@ -105,7 +105,7 @@ TEST(QueryTracer, RenderUnknownQuery) {
 
 TEST(QueryTracer, ChainsToWrappedObserver) {
   QueryStats stats;
-  QueryTracer tracer(&stats);
+  QueryTracer tracer(&stats.sink(0));
   tracer.on_query_visited(1, 10, true, true);
   tracer.on_query_forwarded(1, 10, 11, 3, 0);
   tracer.on_query_visited(1, 11, false, false);

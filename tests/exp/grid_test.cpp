@@ -125,6 +125,24 @@ TEST(Grid, RejectsShardCountOutsideRange) {
   EXPECT_NO_THROW(Grid(cfg, uniform_points(cfg.space, 0, 80)));
 }
 
+TEST(Grid, RejectsQueryTracingAboveOneShard) {
+  // The tracer's maps are unsynchronised; shard workers would race on them.
+  for (std::uint32_t shards : {2u, 8u}) {
+    auto cfg = base_config(10);
+    cfg.trace_queries = true;
+    cfg.shards = shards;
+    EXPECT_THROW(Grid(cfg, uniform_points(cfg.space, 0, 80)), std::invalid_argument)
+        << "shards=" << shards;
+  }
+  auto cfg = base_config(10);
+  cfg.trace_queries = true;
+  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+  auto out = grid.run_query(grid.random_node(), RangeQuery::any(2).with(0, 0, 39));
+  ASSERT_NE(grid.tracer(), nullptr);
+  EXPECT_NE(grid.tracer()->find(out.id), nullptr);
+  EXPECT_EQ(grid.stats().completed_count(), 1u);  // the tracer feeds sink 0
+}
+
 TEST(Grid, StatsAccumulateAcrossQueries) {
   auto cfg = base_config(100);
   Grid grid(cfg, uniform_points(cfg.space, 0, 80));

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/sorted.h"
 #include "exp/experiment.h"
 #include "workload/distributions.h"
 
@@ -35,9 +36,9 @@ Grid::Config mini_config(std::uint32_t shards, bool gossip, const char* latency)
 }
 
 /// Runs the mini sweep and serializes every observable outcome — per-query
-/// match sets, completion latencies, traffic counters, executed-event counts
-/// — into one string. Byte-equality of these strings is the determinism
-/// contract.
+/// match sets, completion latencies, traffic counters, executed-event
+/// counts, every QueryStats row — into one string. Byte-equality of these
+/// strings is the determinism contract.
 std::string run_serialized(std::uint32_t shards, bool gossip,
                            const char* latency = "wan") {
   Grid::Config cfg = mini_config(shards, gossip, latency);
@@ -66,6 +67,18 @@ std::string run_serialized(std::uint32_t shards, bool gossip,
       << " dropped=" << stats.dropped() << "\n";
   for (const auto& [type, c] : stats.sent_by_type())
     out << type << "=" << c.count << ":" << c.bytes << "\n";
+  // Query accounting, folded from the per-shard QueryStats sinks
+  // (track_visited is on, so the visited sets are exact).
+  for (const auto& [qid, pq] : grid.stats().per_query()) {
+    out << "row " << qid << " origin=" << pq.origin << " overhead=" << pq.overhead
+        << " hits=" << pq.hits << " dup=" << pq.duplicates << " fwd=" << pq.forwards
+        << " done=" << pq.completed << " size=" << pq.result_size << " visited=";
+    for (NodeId n : sorted_elements(pq.visited)) out << n << ",";
+    out << " matched=";
+    for (NodeId n : sorted_elements(pq.matched_visited)) out << n << ",";
+    out << "\n";
+  }
+  out << "mean_overhead=" << grid.stats().mean_overhead() << "\n";
   return out.str();
 }
 

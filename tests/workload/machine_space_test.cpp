@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/summary.h"
 #include "exp/grid.h"
 
 namespace ares {
