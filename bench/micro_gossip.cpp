@@ -101,7 +101,7 @@ class Cluster {
     std::vector<PeerDescriptor> all;
     all.reserve(n);
     for (NodeId i = 0; i < n; ++i) {
-      all.push_back(make_descriptor(space, i, gen(rng)));
+      all.push_back(PeerDescriptor{i, gen(rng)});
       store_.put(i, all.back().values);
     }
     hosts_.reserve(n);
@@ -113,9 +113,9 @@ class Cluster {
       };
       host->cyclon =
           std::make_unique<Cyclon>(i, store_, CyclonConfig{}, rng_, send);
-      host->vicinity = std::make_unique<Vicinity>(i, all[i].coord, cells, store_,
+      host->vicinity = std::make_unique<Vicinity>(i, store_.coord_of(i), cells, store_,
                                                   VicinityConfig{}, rng_, send);
-      host->rt = std::make_unique<RoutingTable>(cells, all[i].coord, i,
+      host->rt = std::make_unique<RoutingTable>(cells, store_.coord_of(i), i,
                                                 RoutingConfig{}, store_);
       hosts_.push_back(std::move(host));
     }

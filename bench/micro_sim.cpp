@@ -209,8 +209,11 @@ MicroResult bench_vicinity(std::uint64_t ops) {
   auto gen = uniform_points(space, 0, 80);
 
   std::vector<PeerDescriptor> candidates;
-  for (NodeId i = 0; i < 60; ++i)
-    candidates.push_back(make_descriptor(space, i, gen(rng), rng.below(20)));
+  for (NodeId i = 0; i < 60; ++i) {
+    const Point values = gen(rng);
+    const auto age = static_cast<std::uint32_t>(rng.below(20));
+    candidates.push_back(PeerDescriptor{i, values, age});
+  }
   DescriptorStore store(space);
   for (const PeerDescriptor& d : candidates) store.put(d.id, d.values);
   View cyclon(20);
@@ -222,7 +225,7 @@ MicroResult bench_vicinity(std::uint64_t ops) {
   Vicinity vic(1000, space.coord_of(self_values), cells, store, VicinityConfig{},
                rng, [](NodeId, MessagePtr) {});
   vic.seed(candidates, cyclon);
-  PeerDescriptor target = make_descriptor(space, 2000, gen(rng));
+  PeerDescriptor target{2000, gen(rng)};
 
   for (std::uint64_t i = 0; i < ops / 10; ++i) {  // warmup
     sink += vic.subset_for(target, cyclon, 10).size();

@@ -24,7 +24,7 @@ using namespace ares;
 using Clock = std::chrono::steady_clock;
 
 PeerDescriptor bench_descriptor(NodeId id) {
-  return PeerDescriptor{id, {10, 20, 30, 40, 50}, {1, 2, 3, 0, 1}, 4};
+  return PeerDescriptor{id, {10, 20, 30, 40, 50}, 4};
 }
 
 std::vector<PeerDescriptor> bench_descriptors(std::size_t n) {

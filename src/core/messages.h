@@ -76,6 +76,8 @@ struct ProgressMsg final : Message {
 
 struct ReplyMsg final : Message {
   QueryId id = 0;
+  /// Strictly ascending by id, every record of one dimensionality: the
+  /// wire body codes ids as gaps and states d once.
   std::vector<MatchRecord> matching;
   /// True when the replying subtree exhausted its delegated fragment: the
   /// DFS wound all the way down (no sigma early-cutoff), no branch failed or

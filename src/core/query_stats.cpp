@@ -6,40 +6,20 @@
 #include "common/sorted.h"
 
 namespace ares {
-namespace {
-
-/// Adds one sink's row for a query into the summed row. The origin, the
-/// completion and a node's visits each land in one sink only.
-void add_row(QueryStats::PerQuery& into, const QueryStats::PerQuery& row) {
-  if (row.origin != kInvalidNode) into.origin = row.origin;
-  into.overhead += row.overhead;
-  into.hits += row.hits;
-  into.duplicates += row.duplicates;
-  into.forwards += row.forwards;
-  if (row.completed) {
-    into.completed = true;
-    into.result_size = row.result_size;
-  }
-  const auto visited_ids = sorted_elements(row.visited);
-  into.visited.insert(visited_ids.begin(), visited_ids.end());
-  const auto matched_ids = sorted_elements(row.matched_visited);
-  into.matched_visited.insert(matched_ids.begin(), matched_ids.end());
-}
-
-}  // namespace
 
 void QueryStats::Sink::on_query_visited(QueryId q, NodeId node, bool matched,
                                         bool is_origin) {
-  PerQuery& pq = sink_rows_[q];
+  Row& pq = sink_rows_[q];
   if (is_origin) pq.origin = node;
 
   if (track_visited_) {
-    if (!pq.visited.insert(node).second) {
+    if (pq.visits == nullptr) pq.visits = std::make_unique<Visits>();
+    if (!pq.visits->all.insert(node).second) {
       ++pq.duplicates;
       ++duplicates_;
       return;  // repeat visit: never recounted as hit or overhead
     }
-    if (matched) pq.matched_visited.insert(node);
+    if (matched) pq.visits->matched.insert(node);
   }
   if (matched) {
     ++pq.hits;
@@ -59,7 +39,7 @@ void QueryStats::Sink::on_query_forwarded(QueryId q, NodeId /*from*/,
 
 void QueryStats::Sink::on_query_completed(QueryId q, NodeId origin,
                                           const std::vector<MatchRecord>& matches) {
-  PerQuery& pq = sink_rows_[q];
+  Row& pq = sink_rows_[q];
   pq.origin = origin;
   pq.completed = true;
   pq.result_size = matches.size();
@@ -72,23 +52,34 @@ QueryStats::QueryStats(bool track_visited, std::uint32_t sinks) {
   for (std::uint32_t i = 0; i < sinks; ++i) sinks_.emplace_back(track_visited);
 }
 
+void QueryStats::add_row(PerQuery& into, const Sink::Row& row) {
+  // The origin, the completion and a node's visits each land in one sink.
+  if (row.origin != kInvalidNode) into.origin = row.origin;
+  into.overhead += row.overhead;
+  into.hits += row.hits;
+  into.duplicates += row.duplicates;
+  into.forwards += row.forwards;
+  if (row.completed) {
+    into.completed = true;
+    into.result_size = row.result_size;
+  }
+  if (row.visits == nullptr) return;
+  const auto visited_ids = sorted_elements(row.visits->all);
+  into.visited.insert(visited_ids.begin(), visited_ids.end());
+  const auto matched_ids = sorted_elements(row.visits->matched);
+  into.matched_visited.insert(matched_ids.begin(), matched_ids.end());
+}
+
 const QueryStats::PerQuery* QueryStats::find(QueryId q) const {
-  const PerQuery* only = nullptr;
-  std::size_t holders = 0;
+  bool seen = false;
   for (const Sink& s : sinks_) {
     auto it = s.sink_rows_.find(q);
     if (it == s.sink_rows_.end()) continue;
-    only = &it->second;
-    ++holders;
+    if (!seen) found_ = PerQuery{};
+    seen = true;
+    add_row(found_, it->second);
   }
-  // A row only one sink holds is read in place; the sum is a copy.
-  if (holders < 2) return only;
-  PerQuery& sum_row = folded_[q] = PerQuery{};
-  for (const Sink& s : sinks_) {
-    auto it = s.sink_rows_.find(q);
-    if (it != s.sink_rows_.end()) add_row(sum_row, it->second);
-  }
-  return &sum_row;
+  return seen ? &found_ : nullptr;
 }
 
 const std::map<QueryId, QueryStats::PerQuery>& QueryStats::per_query() const {
@@ -118,6 +109,7 @@ double QueryStats::mean_overhead() const {
 
 void QueryStats::clear() {
   for (Sink& s : sinks_) s = Sink(s.track_visited_);
+  found_ = PerQuery{};
   folded_.clear();
 }
 

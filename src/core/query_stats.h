@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -35,7 +36,8 @@ namespace ares {
 
 class QueryStats {
  public:
-  struct PerQuery {
+  /// A query's counters: all a sink row holds when visits are not tracked.
+  struct Counts {
     NodeId origin = kInvalidNode;
     std::uint32_t overhead = 0;    // non-matching, non-origin deliveries
     std::uint32_t hits = 0;        // distinct matching nodes visited
@@ -43,6 +45,10 @@ class QueryStats {
     std::uint32_t forwards = 0;    // query-message hops sent for this query
     bool completed = false;
     std::size_t result_size = 0;
+  };
+
+  /// A row as the readers see it, folded over the sinks.
+  struct PerQuery : Counts {
     std::unordered_set<NodeId> visited;          // iff track_visited
     std::unordered_set<NodeId> matched_visited;  // iff track_visited
   };
@@ -64,8 +70,18 @@ class QueryStats {
    private:
     friend class QueryStats;
 
+    struct Visits {
+      std::unordered_set<NodeId> all;
+      std::unordered_set<NodeId> matched;
+    };
+    /// The sets live behind a pointer, allocated on a row's first visit
+    /// only when visits are tracked: an untracked row is its counters.
+    struct Row : Counts {
+      std::unique_ptr<Visits> visits;
+    };
+
     bool track_visited_;
-    std::unordered_map<QueryId, PerQuery> sink_rows_;
+    std::unordered_map<QueryId, Row> sink_rows_;
     std::uint64_t overhead_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t duplicates_ = 0;
@@ -88,7 +104,7 @@ class QueryStats {
   Sink& sink(std::uint32_t shard) { return sinks_[shard]; }
 
   /// The query's row summed over every sink that saw it; nullptr when none
-  /// did. Valid until the next per_query() or clear().
+  /// did. Valid until the next find() or clear().
   const PerQuery* find(QueryId q) const;
 
   /// Every row summed over the sinks, ordered by QueryId so consumers that
@@ -111,10 +127,12 @@ class QueryStats {
 
  private:
   std::uint64_t sum(std::uint64_t Sink::*field) const;
+  /// Adds one sink's row for a query into the summed row.
+  static void add_row(PerQuery& into, const Sink::Row& row);
 
   std::vector<Sink> sinks_;  // sized once at construction, never reallocated
-  /// Summed copies handed out by find() (rows held by several sinks) and
-  /// per_query().
+  /// The summed row find() hands out, and the rows per_query() does.
+  mutable PerQuery found_;
   mutable std::map<QueryId, PerQuery> folded_;
 };
 

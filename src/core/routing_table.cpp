@@ -74,9 +74,7 @@ void RoutingTable::insert_slot(std::size_t si, CompactPeer c) {
 void RoutingTable::offer(const PeerDescriptor& d) {
   if (d.id == self_id_) return;
   store_.put_if_absent(d.id, d.values);
-  auto slot = cells_.classify(self_coord_.data(), d.coord.data());
-  if (!slot) return;  // coords outside the space
-  offer_classified({d.id, d.age}, *slot);
+  offer(CompactPeer{d.id, d.age});
 }
 
 void RoutingTable::offer(CompactPeer c) {

@@ -44,7 +44,9 @@ class RoutingTable {
 
   /// Classifies `d` relative to this node and stores it in the right slot
   /// (or neighborsZero). Duplicate ids are refreshed with the younger
-  /// entry. Self is ignored. Registers unknown peers in the store.
+  /// entry. Self is ignored. Registers unknown peers in the store, and
+  /// classifies by the store's row: a known peer keeps the cell of its
+  /// stored profile.
   void offer(const PeerDescriptor& d);
 
   /// As offer(), for a peer already registered in the store (the gossip

@@ -52,7 +52,7 @@ SelectionNode::SelectionNode(const AttributeSpace& space, DescriptorStore& store
 }
 
 PeerDescriptor SelectionNode::descriptor() const {
-  return PeerDescriptor{id(), values_, coord_, 0};
+  return PeerDescriptor{id(), values_, 0};
 }
 
 std::size_t SelectionNode::memory_bytes() const {

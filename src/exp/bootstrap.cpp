@@ -21,14 +21,18 @@ std::uint32_t mask_low(int bits) {
 
 }  // namespace
 
-void oracle_fill(const AttributeSpace& space,
-                 const std::vector<PeerDescriptor>& descs,
+void oracle_fill(const DescriptorStore& store, const std::vector<NodeId>& ids,
                  const std::function<RoutingTable*(std::size_t)>& target,
                  const OracleOptions& opt, Rng& rng) {
+  const AttributeSpace& space = store.space();
   Cells cells(space);
   const int d = space.dimensions();
   const int L = space.max_level();
-  const std::size_t n = descs.size();
+  const std::size_t n = ids.size();
+  // Every member's cell is its store row: no per-level or per-offer
+  // re-derivation from the values.
+  auto cell_of = [&store, &ids](std::size_t i) { return store.coord_ptr(ids[i]); };
+  auto peer = [&ids](std::size_t j) { return CompactPeer{ids[j], 0}; };
 
   // NOTE(determinism): the group maps below are iterated in hash order,
   // which is deterministic for a fixed standard library but not portable
@@ -42,14 +46,14 @@ void oracle_fill(const AttributeSpace& space,
   if (opt.fill_zero) {
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> zero_groups;
     for (std::size_t i = 0; i < n; ++i)
-      zero_groups[cells.cell_key(descs[i].coord, 0)].push_back(i);
+      zero_groups[cells.cell_key(cell_of(i), 0)].push_back(i);
     for (const auto& [key, members] : zero_groups) {
       if (members.size() < 2) continue;
       for (std::size_t i : members) {
         RoutingTable* rt = target(i);
         if (rt == nullptr) continue;
         for (std::size_t j : members)
-          if (i != j) rt->offer(descs[j]);
+          if (i != j) rt->offer(peer(j));
       }
     }
   }
@@ -61,14 +65,13 @@ void oracle_fill(const AttributeSpace& space,
   for (int l = 1; l <= L; ++l) {
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < n; ++i)
-      groups[cells.cell_key(descs[i].coord, l)].push_back(i);
+      groups[cells.cell_key(cell_of(i), l)].push_back(i);
 
     std::vector<std::uint32_t> sig(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
+      const CellIndex* c = cell_of(i);
       std::uint32_t s = 0;
-      for (int j = 0; j < d; ++j)
-        s |= (Cells::at_level(descs[i].coord[static_cast<std::size_t>(j)], l - 1) & 1u)
-             << j;
+      for (int j = 0; j < d; ++j) s |= (Cells::at_level(c[j], l - 1) & 1u) << j;
       sig[i] = s;
     }
 
@@ -92,10 +95,10 @@ void oracle_fill(const AttributeSpace& space,
           const auto& pop = it->second;
           std::size_t take = std::min(opt.per_slot, pop.size());
           if (take == pop.size()) {
-            for (std::size_t j : pop) rt->offer(descs[j]);
+            for (std::size_t j : pop) rt->offer(peer(j));
           } else {
             for (std::size_t idx : rng.sample_indices(pop.size(), take))
-              rt->offer(descs[pop[idx]]);
+              rt->offer(peer(pop[idx]));
           }
         }
       }
@@ -103,19 +106,19 @@ void oracle_fill(const AttributeSpace& space,
   }
 }
 
-void oracle_bootstrap(Network& net, const AttributeSpace& space,
+void oracle_bootstrap(Network& net, const DescriptorStore& store,
                       const OracleOptions& opt) {
   // Snapshot all live protocol nodes.
   std::vector<SelectionNode*> nodes;
-  std::vector<PeerDescriptor> descs;
+  std::vector<NodeId> ids;
   for (NodeId id : net.alive_ids()) {
     auto* sn = net.find_as<SelectionNode>(id);
     if (sn == nullptr) continue;
     nodes.push_back(sn);
-    descs.push_back(sn->descriptor());
+    ids.push_back(id);
   }
   for (auto* sn : nodes) sn->routing().clear();
-  oracle_fill(space, descs,
+  oracle_fill(store, ids,
               [&nodes](std::size_t i) { return &nodes[i]->routing(); }, opt,
               net.sim().rng());
 }

@@ -14,7 +14,7 @@
 ///
 /// Two entry points: oracle_bootstrap() rebuilds every table in a Network
 /// (the simulator path), and oracle_fill() is the backend-neutral core — it
-/// works off a descriptor snapshot and a table-lookup callback, so a
+/// works off the store's rows and a table-lookup callback, so a
 /// multi-process deployment child (exp/deploy.h) can compute the global
 /// overlay from the shared point set and install entries for just the nodes
 /// it hosts.
@@ -26,7 +26,7 @@
 #include "common/rng.h"
 #include "gossip/peer.h"
 #include "sim/network.h"
-#include "space/attribute_space.h"
+#include "space/descriptor_store.h"
 
 // NOTE: this lives in exp/ (not core/) because the oracle needs global
 // omniscience — direct typed access to every node in a Network — which the
@@ -44,19 +44,19 @@ struct OracleOptions {
   bool fill_zero = true;
 };
 
-/// Rebuilds the routing table of every live SelectionNode in `net`.
-/// Existing routing entries are cleared first.
-void oracle_bootstrap(Network& net, const AttributeSpace& space,
+/// Rebuilds the routing table of every live SelectionNode in `net`, whose
+/// profiles `store` holds. Existing routing entries are cleared first.
+void oracle_bootstrap(Network& net, const DescriptorStore& store,
                       const OracleOptions& opt = {});
 
-/// The bootstrap core: `descs` is the descriptor of every live node in the
-/// whole deployment; `target(i)` returns the routing table to fill for
-/// descs[i]'s node, or nullptr when the caller does not host that node (its
-/// slots are skipped, including their sampling draws). Tables are not
-/// cleared here. Entries offered to a hosted table may reference non-hosted
-/// peers — that is the point: the overlay spans processes.
-void oracle_fill(const AttributeSpace& space,
-                 const std::vector<PeerDescriptor>& descs,
+/// The bootstrap core: `ids` lists every live node in the whole deployment,
+/// each with a row in `store` (the store the tables resolve peers in);
+/// `target(i)` returns the routing table to fill for ids[i], or nullptr
+/// when the caller does not host that node (its slots are skipped,
+/// including their sampling draws). Tables are not cleared here. Entries
+/// offered to a hosted table may reference non-hosted peers — that is the
+/// point: the overlay spans processes.
+void oracle_fill(const DescriptorStore& store, const std::vector<NodeId>& ids,
                  const std::function<RoutingTable*(std::size_t)>& target,
                  const OracleOptions& opt, Rng& rng);
 

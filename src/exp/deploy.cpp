@@ -51,16 +51,16 @@ ProtocolConfig deployment_protocol(const DeployConfig& cfg) {
 /// Deterministic introducers for node `id`: up to cfg.introducers distinct
 /// other nodes. Same draw in every process (only the hosting child uses it).
 std::vector<PeerDescriptor> introducers_for(const DeployConfig& cfg,
-                                            const std::vector<PeerDescriptor>& descs,
+                                            const std::vector<Point>& points,
                                             NodeId id) {
-  const std::size_t n = descs.size();
+  const std::size_t n = points.size();
   std::vector<PeerDescriptor> out;
   if (n < 2 || cfg.introducers == 0) return out;
   Rng rng(hash_mix(cfg.seed ^ kIntroStream, id));
   const std::size_t want = std::min(cfg.introducers, n - 1);
   for (std::size_t idx : rng.sample_indices(n, std::min(want + 1, n))) {
     if (idx == id) continue;
-    out.push_back(descs[idx]);
+    out.push_back(PeerDescriptor{static_cast<NodeId>(idx), points[idx]});
     if (out.size() == want) break;
   }
   return out;
@@ -108,11 +108,10 @@ struct ChildProc {
   // (installed only for hosted tables).
   DescriptorStore store(cfg.space);
   store.reserve(n);
-  std::vector<PeerDescriptor> descs;
-  descs.reserve(n);
+  std::vector<NodeId> ids(n);
   for (std::size_t i = 0; i < n; ++i) {
-    store.put(static_cast<NodeId>(i), points[i]);
-    descs.push_back(make_descriptor(cfg.space, static_cast<NodeId>(i), points[i]));
+    ids[i] = static_cast<NodeId>(i);
+    store.put(ids[i], points[i]);
   }
 
   net::UdpRuntime::Config rc;
@@ -124,13 +123,13 @@ struct ChildProc {
   for (NodeId id = first; id < last; ++id) {
     rt.add_node(id, std::make_unique<SelectionNode>(
                         cfg.space, store, points[id], proto,
-                        introducers_for(cfg, descs, id),
+                        introducers_for(cfg, points, id),
                         Rng(hash_mix(cfg.seed ^ kNodeStream, id))));
   }
 
   Rng orng(cfg.seed ^ kOracleStream);
   oracle_fill(
-      cfg.space, descs,
+      store, ids,
       [&rt](std::size_t i) -> RoutingTable* {
         auto* sn = rt.find_as<SelectionNode>(static_cast<NodeId>(i));
         return sn == nullptr ? nullptr : &sn->routing();

@@ -104,7 +104,7 @@ ChurnDriver::NodeFactory Grid::churn_factory() {
   return [this] { return make_node(generator_(node_seeder_), /*shard=*/0); };
 }
 
-void Grid::rebootstrap() { oracle_bootstrap(*net_, cfg_.space, cfg_.oracle_options); }
+void Grid::rebootstrap() { oracle_bootstrap(*net_, *store_, cfg_.oracle_options); }
 
 Grid::QueryOutcome Grid::run_query(NodeId origin, const RangeQuery& q,
                                    std::uint32_t sigma, SimTime horizon) {

@@ -4,12 +4,13 @@
 /// Peer descriptors circulated by the gossip layers. A descriptor carries the
 /// peer's address (NodeId), its attribute values (the second gossip layer
 /// associates links "with the attribute values of the node they represent",
-/// §5), and an age counter used for freshness-based replacement.
+/// §5), and an age counter used for freshness-based replacement. The peer's
+/// cell is not part of it: every reader derives the cell from the values
+/// (DescriptorStore::put), so it never travels.
 
 #include <cstdint>
 
 #include "common/types.h"
-#include "space/attribute_space.h"
 #include "space/descriptor_store.h"
 
 namespace ares {
@@ -30,8 +31,7 @@ struct CompactPeer {
 
 struct PeerDescriptor {
   NodeId id = kInvalidNode;
-  Point values;      // attribute values of the peer
-  CellCoord coord;   // cached level-0 cell coordinates of `values`
+  Point values;  // attribute values of the peer
   std::uint32_t age = 0;
 
   friend bool operator==(const PeerDescriptor& a, const PeerDescriptor& b) {
@@ -39,15 +39,10 @@ struct PeerDescriptor {
   }
 };
 
-inline PeerDescriptor make_descriptor(const AttributeSpace& space, NodeId id,
-                                      const Point& values, std::uint32_t age = 0) {
-  return PeerDescriptor{id, values, space.coord_of(values), age};
-}
-
 /// Rebuilds the wire-format descriptor for a stored peer. Precondition:
 /// store.contains(p.id).
 inline PeerDescriptor materialize(const DescriptorStore& store, CompactPeer p) {
-  return PeerDescriptor{p.id, store.point_of(p.id), store.coord_of(p.id), p.age};
+  return PeerDescriptor{p.id, store.point_of(p.id), p.age};
 }
 
 }  // namespace ares

@@ -7,7 +7,7 @@
 ///
 ///   offset  size  field
 ///        0     2  magic        0xA7E5, little-endian
-///        2     1  version      kVersion (2)
+///        2     1  version      kVersion (3)
 ///        3     1  flags        bit 0 = coalesced payload; other bits
 ///                              reserved, must be 0 (receivers reject)
 ///        4     4  src NodeId   little-endian
@@ -51,9 +51,12 @@ namespace ares::net {
 
 inline constexpr std::uint16_t kMagic = 0xA7E5;
 /// Version 2: the four gossip kinds carry delta-coded descriptor lists
-/// under the same kind tags that carried the plain layout in version 1, so
-/// a version-1 frame could be misread; receivers reject it at the header.
-inline constexpr std::uint8_t kVersion = 2;
+/// under the same kind tags that carried the plain layout in version 1.
+/// Version 3: descriptors no longer carry cell coordinates, and reply
+/// records travel as varint id gaps and values. Each change reuses the kind
+/// tags, so an older frame could be misread; receivers reject it at the
+/// header.
+inline constexpr std::uint8_t kVersion = 3;
 inline constexpr std::size_t kHeaderSize = 14;
 
 /// Flags bit 0: the payload is a sequence of length-prefixed sub-frames

@@ -183,6 +183,7 @@ class Reader {
     for (int shift = 0; shift < 64; shift += 7) {
       std::uint8_t b = u8();
       if (!ok_) return 0;
+      if (shift == 63 && b > 1) break;  // the tenth byte holds bit 63 only
       v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
       if ((b & 0x80) == 0) return v;
     }

@@ -1,6 +1,5 @@
 #include "sim/network.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/hashing.h"
@@ -47,7 +46,7 @@ NetworkStats& Network::stats_sink() {
 
 NodeId Network::add_node(std::unique_ptr<Node> node, std::uint32_t shard) {
   assert(node != nullptr && !node->attached());
-  NodeId id = next_id_++;
+  const auto id = static_cast<NodeId>(nodes_.size());
   sim_.set_node_shard(id, shard);
   // Worker-phase metric bumps index into per-counter vectors; growing them
   // lazily there would race, so the registry is pre-sized on every join
@@ -55,9 +54,10 @@ NodeId Network::add_node(std::unique_ptr<Node> node, std::uint32_t shard) {
   metrics().reserve_nodes(static_cast<std::size_t>(id) + 1);
   bind(*node, *this, id);
   Node* raw = node.get();
-  nodes_.emplace(id, std::move(node));
+  nodes_.push_back(std::move(node));
+  ++population_;
   // Ids are monotonically increasing, so appending keeps the cache sorted:
-  // no need to invalidate and pay a full rebuild + sort per add. Bootstrap
+  // no need to invalidate and pay a full rebuild per add. Bootstrap
   // samples introducers from alive_ids() after every join, which made grid
   // construction O(n^2 log n) before this.
   if (alive_cache_valid_) alive_cache_.push_back(id);
@@ -66,28 +66,24 @@ NodeId Network::add_node(std::unique_ptr<Node> node, std::uint32_t shard) {
 }
 
 void Network::remove_node(NodeId id, bool graceful) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
-  if (graceful) it->second->stop();
-  unbind(*it->second);
-  nodes_.erase(it);
+  Node* node = find(id);
+  if (node == nullptr) return;
+  if (graceful) node->stop();
+  unbind(*node);
+  nodes_[id].reset();
+  --population_;
   alive_cache_valid_ = false;
 }
 
 const std::vector<NodeId>& Network::alive_ids() const {
   if (!alive_cache_valid_) {
     alive_cache_.clear();
-    alive_cache_.reserve(nodes_.size());
-    for (const auto& [id, _] : nodes_) alive_cache_.push_back(id);
-    std::sort(alive_cache_.begin(), alive_cache_.end());
+    alive_cache_.reserve(population_);
+    for (std::size_t id = 0; id < nodes_.size(); ++id)
+      if (nodes_[id] != nullptr) alive_cache_.push_back(static_cast<NodeId>(id));
     alive_cache_valid_ = true;
   }
   return alive_cache_;
-}
-
-Node* Network::find(NodeId id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
 }
 
 void Network::send(NodeId from, NodeId to, MessagePtr m) {

@@ -19,7 +19,6 @@
 /// together on access.
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/runtime.h"
@@ -74,15 +73,15 @@ class Network final : public Runtime {
   /// this models a crash. In-flight messages to it are dropped on delivery.
   void remove_node(NodeId id, bool graceful);
 
-  bool alive(NodeId id) const { return nodes_.contains(id); }
-  std::size_t population() const { return nodes_.size(); }
+  bool alive(NodeId id) const { return id < nodes_.size() && nodes_[id] != nullptr; }
+  std::size_t population() const { return population_; }
 
   /// Live node ids in id order (rebuilt lazily; cheap between membership
   /// changes). The returned reference is invalidated by add/remove.
   const std::vector<NodeId>& alive_ids() const;
 
   /// Typed access to a live node; nullptr when dead/unknown.
-  Node* find(NodeId id);
+  Node* find(NodeId id) { return alive(id) ? nodes_[id].get() : nullptr; }
   template <typename T>
   T* find_as(NodeId id) {
     return dynamic_cast<T*>(find(id));
@@ -104,8 +103,11 @@ class Network final : public Runtime {
   // Wire metric handle, interned up front: counter-name interning mutates
   // the registry and must never happen on a shard worker.
   Metrics::Counter m_wire_bytes_saved_;
-  std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
-  NodeId next_id_ = 0;
+  /// Indexed by NodeId: ids are dense and never reused, so slot id holds
+  /// that node until it leaves and nullptr after. Mutated on the
+  /// coordinator only, between windows, so drains read it without a lock.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::size_t population_ = 0;
   mutable std::vector<NodeId> alive_cache_;
   mutable bool alive_cache_valid_ = false;
 };

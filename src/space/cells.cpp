@@ -64,9 +64,9 @@ std::uint32_t shard_of_coord(const AttributeSpace& space, const CellCoord& coord
   return static_cast<std::uint32_t>((key * shards) >> bits);
 }
 
-std::uint64_t Cells::cell_key(const CellCoord& c, int level) const {
+std::uint64_t Cells::cell_key(const CellIndex* c, int level) const {
   std::uint64_t h = hash_mix(kFnvOffset, static_cast<std::uint64_t>(level));
-  for (CellIndex idx0 : c) h = hash_mix(h, at_level(idx0, level));
+  for (int j = 0; j < space_->dimensions(); ++j) h = hash_mix(h, at_level(c[j], level));
   return h;
 }
 

@@ -88,9 +88,10 @@ class Cells {
     return classify(self.data(), other.data());
   }
 
-  /// Stable hash key of the level-l cell containing `c` (keyed by level too,
-  /// so keys from different levels never collide structurally).
-  std::uint64_t cell_key(const CellCoord& c, int level) const;
+  /// Stable hash key of the level-l cell containing `c`, a row of d level-0
+  /// indices as classify() takes (keyed by level too, so keys from
+  /// different levels never collide structurally).
+  std::uint64_t cell_key(const CellIndex* c, int level) const;
 
  private:
   const AttributeSpace* space_;

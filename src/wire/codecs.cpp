@@ -1,6 +1,7 @@
 #include "wire/codecs.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace ares::wire {
@@ -11,9 +12,7 @@ namespace {
 
 // ---- field codecs ---------------------------------------------------------
 
-// Attribute values are fixed-width u64 on the wire (varints would make
-// message sizes value-dependent, muddying the paper's byte accounting);
-// counts stay varint.
+// A point travels as a varint count and that many fixed-width u64 values.
 
 void put_point(Writer& w, const Point& p) {
   w.varint(p.size());
@@ -30,30 +29,16 @@ bool get_point(Reader& r, Point& p) {
   return r.ok();
 }
 
-void put_coord(Writer& w, const CellCoord& c) {
-  w.varint(c.size());
-  for (CellIndex i : c) w.u32(i);
-}
-
-bool get_coord(Reader& r, CellCoord& c) {
-  std::uint64_t n = r.count(4);
-  if (!r.ok() || n > CellCoord::max_size()) return false;  // see get_point
-  c.resize(static_cast<std::size_t>(n));
-  for (auto& i : c) i = static_cast<CellIndex>(r.u32());
-  return r.ok();
-}
-
 void put_descriptor(Writer& w, const PeerDescriptor& d) {
   w.u32(d.id);
   w.u32(d.age);
   put_point(w, d.values);
-  put_coord(w, d.coord);
 }
 
 bool get_descriptor(Reader& r, PeerDescriptor& d) {
   d.id = r.u32();
   d.age = r.u32();
-  return get_point(r, d.values) && get_coord(r, d.coord) && r.ok();
+  return get_point(r, d.values) && r.ok();
 }
 
 void put_query(Writer& w, const RangeQuery& q) {
@@ -137,20 +122,21 @@ std::size_t point_size(const Point& p) {
   return varint_len(p.size()) + 8 * p.size();
 }
 
-std::size_t coord_size(const CellCoord& c) {
-  return varint_len(c.size()) + 4 * c.size();
-}
-
 std::size_t descriptor_size(const PeerDescriptor& d) {
-  return 8 + point_size(d.values) + coord_size(d.coord);
+  return 8 + point_size(d.values);
 }
 
-// The paper's plain descriptor-list layout (a count, then every descriptor
-// in full). Never encoded: it is the yardstick the §6 budget of ~2,560
-// B/node/cycle is stated in (see paper_layout_savings()).
-std::size_t descriptors_size(const std::vector<PeerDescriptor>& v) {
+// The paper's plain descriptor-list layout: a count, then every descriptor
+// in full, each with its level-0 cell coordinates (a varint count and one
+// u32 per dimension) after its values. Never encoded: it is the yardstick
+// the §6 budget of ~2,560 B/node/cycle is stated in (see
+// paper_layout_savings()).
+std::size_t plain_descriptors_size(const std::vector<PeerDescriptor>& v) {
   std::size_t n = varint_len(v.size());
-  for (const auto& d : v) n += descriptor_size(d);
+  for (const auto& d : v) {
+    const std::size_t dims = d.values.size();
+    n += descriptor_size(d) + varint_len(dims) + 4 * dims;
+  }
   return n;
 }
 
@@ -185,15 +171,16 @@ const std::vector<PeerDescriptor>& gossip_entries(const Message& m) {
 // ---- gossip descriptor lists ----------------------------------------------
 //
 // The CYCLON/Vicinity descriptor lists (the ~95% of gossip bytes) are
-// delta-coded. Entry 0 travels as a full descriptor — the
-// per-exchange reference; every later entry carries zig-zag varint
-// *wrapping* deltas against it, with presence bitmaps so attribute values
-// and cell coordinates equal to the reference cost one bit instead of 8/4
-// bytes. Wrapping arithmetic (mod 2^64 / 2^32) makes the round trip exact
-// for every input, including adversarial extremes. An entry whose
-// dimensionality differs from the reference falls back to the full form
-// (flags=1), keeping the delta encoder total. Layout and rejection rules
-// are specified in docs/PROTOCOL.md §"Descriptor-list encoding".
+// delta-coded. Entry 0 travels as a full descriptor — the per-exchange
+// reference; every later entry carries zig-zag varint *wrapping* deltas
+// against it, with a presence bitmap so attribute values equal to the
+// reference cost one bit instead of 8 bytes. Wrapping arithmetic (mod
+// 2^64 / 2^32) makes the round trip exact for every input, including
+// adversarial extremes. An entry whose dimensionality differs from the
+// reference falls back to the full form (flags=1), keeping the delta
+// encoder total. No descriptor carries its cell: receivers derive it from
+// the values. Layout and rejection rules are specified in docs/PROTOCOL.md
+// §"Descriptor-list encoding".
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -230,8 +217,7 @@ constexpr std::uint8_t kDeltaEntry = 0;
 constexpr std::uint8_t kFullEntry = 1;
 
 bool delta_encodable(const PeerDescriptor& ref, const PeerDescriptor& d) {
-  return d.values.size() == ref.values.size() &&
-         d.coord.size() == ref.coord.size();
+  return d.values.size() == ref.values.size();
 }
 
 void put_delta_entry(Writer& w, const PeerDescriptor& ref,
@@ -251,16 +237,9 @@ void put_delta_entry(Writer& w, const PeerDescriptor& ref,
   for (std::size_t i = 0; i < d.values.size(); ++i)
     if (vbits & (std::uint64_t{1} << i))
       w.varint(zigzag(wrap_diff_u64(ref.values[i], d.values[i])));
-  std::uint64_t cbits = 0;
-  for (std::size_t i = 0; i < d.coord.size(); ++i)
-    if (d.coord[i] != ref.coord[i]) cbits |= std::uint64_t{1} << i;
-  w.varint(cbits);
-  for (std::size_t i = 0; i < d.coord.size(); ++i)
-    if (cbits & (std::uint64_t{1} << i))
-      w.varint(zigzag(wrap_diff_u32(ref.coord[i], d.coord[i])));
 }
 
-// One pass per entry: each bitmap and the varints it selects are counted
+// One pass per entry: the bitmap and the varints it selects are counted
 // together (this sits on the per-send sizing path).
 std::size_t delta_entry_size(const PeerDescriptor& ref,
                              const PeerDescriptor& d) {
@@ -275,13 +254,6 @@ std::size_t delta_entry_size(const PeerDescriptor& ref,
     n += varint_len(zigzag(wrap_diff_u64(ref.values[i], d.values[i])));
   }
   n += varint_len(vbits);
-  std::uint64_t cbits = 0;
-  for (std::size_t i = 0; i < d.coord.size(); ++i) {
-    if (d.coord[i] == ref.coord[i]) continue;
-    cbits |= std::uint64_t{1} << i;
-    n += varint_len(zigzag(wrap_diff_u32(ref.coord[i], d.coord[i])));
-  }
-  n += varint_len(cbits);
   return n;
 }
 
@@ -304,14 +276,6 @@ bool get_delta_entry(Reader& r, const PeerDescriptor& ref,
     d.values[i] = (vbits & (std::uint64_t{1} << i))
                       ? wrap_add_u64(ref.values[i], unzigzag(r.varint()))
                       : ref.values[i];
-  const std::uint64_t cbits = r.varint();
-  if (!r.ok()) return false;
-  if (ref.coord.size() < 64 && (cbits >> ref.coord.size()) != 0) return false;
-  d.coord.resize(ref.coord.size());
-  for (std::size_t i = 0; i < d.coord.size(); ++i)
-    d.coord[i] = (cbits & (std::uint64_t{1} << i))
-                     ? wrap_add_u32(ref.coord[i], unzigzag(r.varint()))
-                     : ref.coord[i];
   return r.ok();
 }
 
@@ -331,7 +295,7 @@ std::size_t delta_descriptors_size(const std::vector<PeerDescriptor>& v) {
 }
 
 bool get_delta_descriptors(Reader& r, std::vector<PeerDescriptor>& v) {
-  std::uint64_t n = r.count(5);  // >= flags + id + age + two bitmaps
+  std::uint64_t n = r.count(4);  // >= flags + id + age + bitmap
   if (!r.ok()) return false;
   v.resize(static_cast<std::size_t>(n));
   if (v.empty()) return true;
@@ -392,18 +356,54 @@ MessagePtr decode_query(Reader& r, Kind) {
   return m;
 }
 
+// ---- reply records ----------------------------------------------------------
+//
+// A kReply body lists its records in strictly ascending id order (the order
+// every candidate set is kept in), so each id travels as a varint gap from
+// the previous one and every value as a varint: one byte each for the
+// workloads' [0, 80]. One dimensionality, sent after the count when there
+// are records, sizes every record. Layout and rejection rules are specified
+// in docs/PROTOCOL.md §"Reply records".
+
+/// One past the largest NodeId: no decoded id may reach it.
+constexpr std::uint64_t kIdSpan = std::uint64_t{kInvalidNode} + 1;
+
+/// The gap of `id` from the previous record's id, given `next`, one past
+/// it. The first record's `next` is 0, a virtual id -1: every gap of an
+/// ascending list is >= 1.
+std::uint64_t id_gap(std::uint64_t next, NodeId id) {
+  return std::uint64_t{id} + 1 - next;
+}
+
 void encode_reply(const Message& m, Writer& w) {
   const auto& rp = static_cast<const ReplyMsg&>(m);
   w.u64(rp.id);
   w.u8(rp.complete ? 1 : 0);
   w.varint(rp.matching.size());
-  for (const auto& rec : rp.matching) put_record(w, rec);
+  if (rp.matching.empty()) return;
+  const std::size_t d = rp.matching.front().values.size();
+  w.varint(d);
+  std::uint64_t next = 0;
+  for (const auto& rec : rp.matching) {
+    assert(rec.values.size() == d);
+    w.varint(id_gap(next, rec.id));
+    next = std::uint64_t{rec.id} + 1;
+    for (std::size_t i = 0; i < d; ++i) w.varint(rec.values[i]);
+  }
 }
 
 std::size_t size_reply(const Message& m) {
   const auto& rp = static_cast<const ReplyMsg&>(m);
   std::size_t n = 8 + 1 + varint_len(rp.matching.size());
-  for (const auto& rec : rp.matching) n += record_size(rec);
+  if (rp.matching.empty()) return n;
+  const std::size_t d = rp.matching.front().values.size();
+  n += varint_len(d);
+  std::uint64_t next = 0;
+  for (const auto& rec : rp.matching) {
+    n += varint_len(id_gap(next, rec.id));
+    next = std::uint64_t{rec.id} + 1;
+    for (std::size_t i = 0; i < d; ++i) n += varint_len(rec.values[i]);
+  }
   return n;
 }
 
@@ -413,11 +413,26 @@ MessagePtr decode_reply(Reader& r, Kind) {
   const std::uint8_t complete = r.u8();
   if (complete > 1) return nullptr;
   m->complete = complete == 1;
-  std::uint64_t n = r.count(5);
+  const std::uint64_t n = r.count(1);
   if (!r.ok()) return nullptr;
+  if (n == 0) return m;
+  const std::uint64_t d = r.varint();
+  // Values are stored inline (see get_point), and every record takes at
+  // least one byte for its gap and one per value.
+  if (!r.ok() || d > Point::max_size() || n > r.remaining() / (1 + d))
+    return nullptr;
   m->matching.resize(static_cast<std::size_t>(n));
-  for (auto& rec : m->matching)
-    if (!get_record(r, rec)) return nullptr;
+  std::uint64_t next = 0;
+  for (auto& rec : m->matching) {
+    const std::uint64_t gap = r.varint();
+    // A zero gap repeats an id; a gap past the id space wraps it.
+    if (!r.ok() || gap == 0 || gap > kIdSpan - next) return nullptr;
+    next += gap;
+    rec.id = static_cast<NodeId>(next - 1);
+    rec.values.resize(static_cast<std::size_t>(d));
+    for (auto& v : rec.values) v = r.varint();
+  }
+  if (!r.ok()) return nullptr;
   return m;
 }
 
@@ -599,7 +614,7 @@ std::size_t paper_layout_savings(const Message& m) {
   if (k != Kind::kCyclonRequest && k != Kind::kCyclonReply &&
       k != Kind::kVicinityRequest && k != Kind::kVicinityReply)
     return 0;
-  const std::size_t paper = 1 + descriptors_size(gossip_entries(m));
+  const std::size_t paper = 1 + plain_descriptors_size(gossip_entries(m));
   const std::size_t sent = m.wire_size();
   return paper > sent ? paper - sent : 0;
 }

@@ -99,8 +99,8 @@ TEST(NodeMemory, HostileGossipIdOnTheSimNetworkChangesNothing) {
 
   for (const NodeId hostile : {store.id_bound(), store.id_bound() + 1000}) {
     auto m = std::make_unique<CyclonShuffleMsg>();
-    m->entries.push_back(make_descriptor(space, peer, {45, 45}));
-    m->entries.push_back(make_descriptor(space, hostile, {15, 15}));
+    m->entries.push_back(PeerDescriptor{peer, {45, 45}});
+    m->entries.push_back(PeerDescriptor{hostile, {15, 15}});
     net.send(peer, a, std::move(m));
   }
   sim.run();
@@ -114,7 +114,7 @@ TEST(NodeMemory, HostileGossipIdOnTheSimNetworkChangesNothing) {
 
   // The same shuffle without the hostile entry is absorbed and answered.
   auto good = std::make_unique<CyclonShuffleMsg>();
-  good->entries.push_back(make_descriptor(space, peer, {45, 45}));
+  good->entries.push_back(PeerDescriptor{peer, {45, 45}});
   net.send(peer, a, std::move(good));
   sim.run();
   EXPECT_EQ(net.find_as<CountingNode>(peer)->received, 1);

@@ -219,7 +219,7 @@ TEST_F(ProtocolMessagesTest, ChildReplyRepeatingHeldIdKeepsFirstRecord) {
   NodeId child = net.add_node(std::make_unique<ScriptedChild>());
   // The child's reply repeats a's id with other values.
   net.find_as<ScriptedChild>(child)->records = {{a, {6, 6}}, {child, {75, 5}}};
-  node(a).routing().offer(make_descriptor(space, child, {75, 5}));  // N(3,0)(a)
+  node(a).routing().offer(PeerDescriptor{child, {75, 5}});  // N(3,0)(a)
   std::vector<MatchRecord> result;
   bool done = false;
   auto on_done = [&](const std::vector<MatchRecord>& m) {
@@ -280,7 +280,7 @@ TEST_F(ProtocolMessagesTest, QueryLevelOutsideSpaceDropped) {
 TEST_F(ProtocolMessagesTest, MalformedReplyRecordsDropped) {
   NodeId a = add_node({5, 5});
   NodeId child = net.add_node(std::make_unique<SinkNode>());  // never answers
-  node(a).routing().offer(make_descriptor(space, child, {75, 5}));
+  node(a).routing().offer(PeerDescriptor{child, {75, 5}});
   std::vector<MatchRecord> result;
   bool done = false;
   auto on_done = [&](const std::vector<MatchRecord>& m) {
@@ -330,18 +330,18 @@ TEST_F(ProtocolMessagesTest, GossipDescriptorsThatWouldCorruptTheStoreDropped) {
   const std::size_t rows = store.size();
   const std::size_t bytes = store.memory_bytes();
   const std::vector<PeerDescriptor> bad = {
-      {kInvalidNode, {15, 15}, {1, 1}, 0},  // id + 1 wraps the dense store
-      {500, {15, 15, 15}, {1, 1, 1}, 0},    // 3 values on a 2-d space
-      {501, {15}, {1}, 0},                  // 1 value on a 2-d space
-      {1'000'000, {15, 15}, {1, 1}, 0},     // past every row: store would grow
+      {kInvalidNode, {15, 15}, 0},  // id + 1 wraps the dense store
+      {500, {15, 15, 15}, 0},       // 3 values on a 2-d space
+      {501, {15}, 0},               // 1 value on a 2-d space
+      {1'000'000, {15, 15}, 0},     // past every row: store would grow
   };
   for (const PeerDescriptor& d : bad) {
     auto c = std::make_unique<CyclonShuffleMsg>();
-    c->entries.push_back(make_descriptor(space, peer, {45, 45}));
+    c->entries.push_back(PeerDescriptor{peer, {45, 45}});
     c->entries.push_back(d);
     net.send(peer, a, std::move(c));
     auto v = std::make_unique<VicinityExchangeMsg>();
-    v->entries.push_back(make_descriptor(space, peer, {45, 45}));
+    v->entries.push_back(PeerDescriptor{peer, {45, 45}});
     v->entries.push_back(d);
     net.send(peer, a, std::move(v));
   }
@@ -358,7 +358,7 @@ TEST_F(ProtocolMessagesTest, GossipDescriptorsThatWouldCorruptTheStoreDropped) {
 
   // The same exchange without the bad entry is absorbed and answered.
   auto c = std::make_unique<CyclonShuffleMsg>();
-  c->entries.push_back(make_descriptor(space, peer, {45, 45}));
+  c->entries.push_back(PeerDescriptor{peer, {45, 45}});
   net.send(peer, a, std::move(c));
   net.run_until(net.now() + 600 * kSecond);
   EXPECT_EQ(decode_fails(), 2 * bad.size());

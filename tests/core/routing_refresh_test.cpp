@@ -181,14 +181,10 @@ TEST_F(RoutingRefresh, FixedPointAfterTimeoutPurge) {
 TEST_F(RoutingRefresh, FixedPointAfterClearAndOracleRefill) {
   // A sparse refill (one candidate per slot, no neighborsZero) leaves room
   // that view entries can take.
-  std::vector<PeerDescriptor> descs;
-  for (NodeId id : net.ids()) {
-    net.node(id).routing().clear();
-    descs.push_back(net.node(id).descriptor());
-  }
   const auto ids = net.ids();
+  for (NodeId id : ids) net.node(id).routing().clear();
   auto table = [&](std::size_t i) { return &net.node(ids[i]).routing(); };
-  oracle_fill(space, descs, table, OracleOptions{.per_slot = 1, .fill_zero = false}, gen);
+  oracle_fill(store, ids, table, OracleOptions{.per_slot = 1, .fill_zero = false}, gen);
   net.run_until(net.now() + 30 * kSecond);
   EXPECT_GT(frames, 0u);
   EXPECT_EQ(off_fixed_point, 0u) << "of " << frames << " frames";

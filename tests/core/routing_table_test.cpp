@@ -15,17 +15,19 @@ class RoutingTableTest : public ::testing::Test {
       : space(AttributeSpace::uniform(2, 3, 0, 80)),
         cells(space),
         store(space),
-        self(make_descriptor(space, 1, {5, 5})),
-        rt(cells, self.coord, self.id, RoutingConfig{}, store) {}
+        self(PeerDescriptor{1, {5, 5}}),
+        self_coord(space.coord_of(self.values)),
+        rt(cells, self_coord, self.id, RoutingConfig{}, store) {}
 
   PeerDescriptor make(NodeId id, AttrValue x, AttrValue y, std::uint32_t age = 0) {
-    return make_descriptor(space, id, {x, y}, age);
+    return PeerDescriptor{id, {x, y}, age};
   }
 
   AttributeSpace space;
   Cells cells;
   DescriptorStore store;
   PeerDescriptor self;
+  CellCoord self_coord;
   RoutingTable rt;
 };
 
@@ -39,7 +41,7 @@ TEST_F(RoutingTableTest, ZeroCellPlacement) {
 TEST_F(RoutingTableTest, SlotPlacementMatchesClassification) {
   PeerDescriptor far = make(3, 75, 5);  // other half along dim 0 => N(3,0)
   rt.offer(far);
-  auto slot = cells.classify(self.coord, far.coord);
+  auto slot = cells.classify(self_coord, space.coord_of(far.values));
   ASSERT_TRUE(slot.has_value());
   EXPECT_EQ(slot->level, 3);
   EXPECT_EQ(slot->dim, 0);
@@ -110,7 +112,7 @@ TEST_F(RoutingTableTest, LinkCountsDedupe) {
 TEST_F(RoutingTableTest, ZeroCapacityCap) {
   RoutingConfig cfg;
   cfg.zero_capacity = 2;
-  RoutingTable capped(cells, self.coord, self.id, cfg, store);
+  RoutingTable capped(cells, self_coord, self.id, cfg, store);
   capped.offer(make(2, 6, 6, 3));
   capped.offer(make(3, 6, 7, 1));
   capped.offer(make(4, 7, 6, 2));
@@ -172,7 +174,7 @@ TEST_F(RoutingTableTest, GossipOverLoopbackPopulatesSlots) {
   // B lands in the opposite half along dimension 0 => slot N(3,0) of A.
   NodeId b = loop.add_node(std::make_unique<SelectionNode>(
       space, store, Point{75, 5}, cfg,
-      std::vector<PeerDescriptor>{make_descriptor(space, a, {5, 5})},
+      std::vector<PeerDescriptor>{PeerDescriptor{a, {5, 5}}},
       seeder.fork()));
 
   loop.run_until(120 * kSecond);  // ~12 gossip cycles
@@ -201,7 +203,7 @@ TEST_F(RoutingTableTest, DeadPeerAgesOutOverLoopback) {
       space, store, Point{5, 5}, cfg, std::vector<PeerDescriptor>{}, seeder.fork()));
   NodeId b = loop.add_node(std::make_unique<SelectionNode>(
       space, store, Point{75, 5}, cfg,
-      std::vector<PeerDescriptor>{make_descriptor(space, a, {5, 5})},
+      std::vector<PeerDescriptor>{PeerDescriptor{a, {5, 5}}},
       seeder.fork()));
   loop.run_until(60 * kSecond);
   auto& art = loop.find_as<SelectionNode>(a)->routing();

@@ -113,7 +113,8 @@ TEST(OracleBootstrap, HandlesEmptyNetwork) {
   Simulator sim(1);
   Network net(sim, std::make_unique<ConstantLatency>(1));
   auto space = AttributeSpace::uniform(2, 3, 0, 80);
-  oracle_bootstrap(net, space);  // must not crash
+  DescriptorStore store(space);
+  oracle_bootstrap(net, store);  // must not crash
   SUCCEED();
 }
 

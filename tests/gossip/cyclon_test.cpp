@@ -67,7 +67,7 @@ class CyclonLoopbackTest : public ::testing::Test, protected StoreFixture {
     std::vector<PeerDescriptor> prev;
     for (std::size_t i = 0; i < n; ++i) {
       NodeId id = net.add_node(std::make_unique<CyclonHost>(store, cfg, seeder.fork(), prev));
-      prev = {PeerDescriptor{id, {0}, {0}, 0}};
+      prev = {PeerDescriptor{id, {0}, 0}};
       ids.push_back(id);
     }
   }
@@ -168,7 +168,7 @@ TEST(CyclonUnit, SeedSkipsSelf) {
   f.store.put(3, Point{0});
   Cyclon c(3, f.store, CyclonConfig{}, rng,
            [&](NodeId, MessagePtr m) { outbox.push_back(std::move(m)); });
-  c.seed({PeerDescriptor{3, {0}, {0}, 0}, PeerDescriptor{4, {0}, {0}, 0}});
+  c.seed({PeerDescriptor{3, {0}, 0}, PeerDescriptor{4, {0}, 0}});
   EXPECT_FALSE(c.view().contains(3));
   EXPECT_TRUE(c.view().contains(4));
 }
@@ -180,7 +180,7 @@ TEST(CyclonUnit, TickRemovesTargetAndSendsRequest) {
   f.store.put(1, Point{0});
   Cyclon c(1, f.store, CyclonConfig{}, rng,
            [&](NodeId to, MessagePtr m) { outbox.emplace_back(to, std::move(m)); });
-  c.seed({PeerDescriptor{2, {0}, {0}, 5}, PeerDescriptor{3, {0}, {0}, 1}});
+  c.seed({PeerDescriptor{2, {0}, 5}, PeerDescriptor{3, {0}, 1}});
   c.tick();
   // Oldest (2) chosen and removed from the view.
   ASSERT_EQ(outbox.size(), 1u);
@@ -213,10 +213,10 @@ TEST(CyclonUnit, HandleRequestSendsReplyAndMerges) {
   f.store.put(1, Point{0});
   Cyclon c(1, f.store, CyclonConfig{}, rng,
            [&](NodeId to, MessagePtr m) { outbox.emplace_back(to, std::move(m)); });
-  c.seed({PeerDescriptor{5, {0}, {0}, 0}});
+  c.seed({PeerDescriptor{5, {0}, 0}});
   CyclonShuffleMsg req;
   req.is_reply = false;
-  req.entries = {PeerDescriptor{9, {0}, {0}, 0}, PeerDescriptor{1, {0}, {0}, 0}};
+  req.entries = {PeerDescriptor{9, {0}, 0}, PeerDescriptor{1, {0}, 0}};
   EXPECT_TRUE(c.handle(7, req));
   ASSERT_EQ(outbox.size(), 1u);
   EXPECT_EQ(outbox[0].first, 7u);

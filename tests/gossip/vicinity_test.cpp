@@ -22,7 +22,7 @@ class VicinityUnit : public ::testing::Test {
         rng(1) {}
 
   PeerDescriptor make(NodeId id, AttrValue x, AttrValue y, std::uint32_t age = 0) {
-    return make_descriptor(space, id, {x, y}, age);
+    return PeerDescriptor{id, {x, y}, age};
   }
 
   /// Registers a descriptor in the store and returns its compact handle
@@ -34,7 +34,7 @@ class VicinityUnit : public ::testing::Test {
 
   Vicinity make_vicinity(const PeerDescriptor& self, VicinityConfig cfg = {}) {
     store.put(self.id, self.values);
-    return Vicinity(self.id, self.coord, cells, store, cfg, rng,
+    return Vicinity(self.id, space.coord_of(self.values), cells, store, cfg, rng,
                     [this](NodeId to, MessagePtr m) {
                       outbox.emplace_back(to, std::move(m));
                     });
@@ -98,18 +98,16 @@ TEST_F(VicinityUnit, SubsetForRanksByUsefulnessToTarget) {
 }
 
 TEST_F(VicinityUnit, SubsetForRanksUnclassifiableCandidatesLast) {
-  // A descriptor whose cached coordinates fall outside this space's grid
-  // (e.g. minted against a differently-cut space) cannot be classified
-  // against the ranking target. It must sort after every classifiable
-  // candidate rather than being dropped or misordered. (The store
-  // re-derives coordinates from values, so here the rogue lands in the
-  // far corner cell; SelectionMatchesSortBasedReference below covers
-  // stored coordinates outside the space.)
+  // A descriptor minted against a differently-cut space carries values
+  // beyond this space's range. It must sort after every classifiable
+  // candidate rather than being dropped or misordered. (The store derives
+  // its cell from the values, so here the rogue lands in the far corner
+  // cell; SelectionMatchesSortBasedReference below covers stored
+  // coordinates outside the space.)
   auto v = make_vicinity(make(1, 5, 5));
   PeerDescriptor rogue;
   rogue.id = 77;
   rogue.values = Point{500, 500};
-  rogue.coord = CellCoord{255, 255};  // cells_per_dim is 8: out of range
   View cyclon_view(8);
   cyclon_view.insert_or_refresh(put(make(30, 6, 6)));
   cyclon_view.insert_or_refresh(put(rogue));
@@ -234,10 +232,10 @@ TEST_F(VicinityUnit, LoopbackExchangePropagatesDescriptorsTransitively) {
       space, cells, store, Point{40, 40}, seeder.fork(), std::vector<PeerDescriptor>{}));
   NodeId b = rt.add_node(std::make_unique<VicinityHost>(
       space, cells, store, Point{75, 75}, seeder.fork(),
-      std::vector<PeerDescriptor>{make_descriptor(space, c, {40, 40})}));
+      std::vector<PeerDescriptor>{PeerDescriptor{c, {40, 40}}}));
   NodeId a = rt.add_node(std::make_unique<VicinityHost>(
       space, cells, store, Point{5, 5}, seeder.fork(),
-      std::vector<PeerDescriptor>{make_descriptor(space, b, {75, 75})}));
+      std::vector<PeerDescriptor>{PeerDescriptor{b, {75, 75}}}));
 
   rt.run_until(300 * kSecond);  // ~30 gossip cycles
 

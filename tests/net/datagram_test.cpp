@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "net/process.h"
@@ -119,6 +120,56 @@ TEST(Datagram, RejectsUnknownVersion) {
   EXPECT_EQ(rt.rx_rejected(), 1u);
   // Rejected at the header: the codec never saw the frame.
   EXPECT_EQ(rt.metrics().total("wire.decode_fail"), 0u);
+}
+
+/// Counts what reaches it, whatever the kind.
+class Inbox final : public Node {
+ public:
+  void on_message(NodeId, const Message&) override { ++received; }
+  int received = 0;
+};
+
+TEST(Datagram, RejectsVersionTwoAtTheHeader) {
+  // A version-2 peer's select.reply: two records, each a fixed u32 id, a
+  // varint dimensionality and u64 values. Version 3 reads the same tag as
+  // id gaps and varint values, so the codec would misparse it (here as
+  // 5-dimensional records whose first id gap is zero); the header must
+  // stop it first.
+  wire::Writer w;
+  w.u8(static_cast<std::uint8_t>(wire::Kind::kReply));
+  w.u64(0x0102030405060708ULL);
+  w.u8(1);  // complete
+  w.varint(2);
+  for (std::uint32_t id : {5u, 6u}) {
+    w.u32(id);
+    w.varint(3);
+    for (std::uint64_t v : {10, 20, 30}) w.u64(v);
+  }
+  const std::vector<std::uint8_t>& frame = w.bytes();
+  std::vector<std::uint8_t> d(kHeaderSize);
+  encode_header({2, 0, 0, static_cast<std::uint16_t>(frame.size())}, d.data());
+  d.insert(d.end(), frame.begin(), frame.end());
+
+  const int fd = udp_bind_loopback();
+  ASSERT_GE(fd, 0);
+  AddressBook book;
+  book.set(0, {0x7F000001, local_port(fd)});
+  UdpRuntime rt(fd, book, {});
+  auto inbox = std::make_unique<Inbox>();
+  const Inbox* node = inbox.get();
+  rt.add_node(0, std::move(inbox));
+
+  // Under the current version the frame reaches the codec, which drops it.
+  EXPECT_FALSE(rt.inject_datagram(d.data(), d.size()));
+  EXPECT_EQ(rt.metrics().node_value(0, "wire.decode_fail"), 1u);
+  EXPECT_EQ(rt.rx_rejected(), 0u);
+
+  // Stamped version 2, as its sender would, it never gets that far.
+  d[2] = 2;
+  EXPECT_FALSE(rt.inject_datagram(d.data(), d.size()));
+  EXPECT_EQ(rt.rx_rejected(), 1u);
+  EXPECT_EQ(rt.metrics().node_value(0, "wire.decode_fail"), 1u);
+  EXPECT_EQ(node->received, 0);
 }
 
 TEST(Datagram, RejectsLengthFieldMismatch) {

@@ -430,8 +430,8 @@ TEST(UdpRuntime, HostileDescriptorIdLeavesTheStoreUnchanged) {
   const std::size_t bytes = store.memory_bytes();
 
   CyclonShuffleMsg hostile;
-  hostile.entries.push_back(make_descriptor(space, 2, store.point_of(2)));
-  hostile.entries.push_back(make_descriptor(space, 1'000'000, {15, 15}));
+  hostile.entries.push_back(PeerDescriptor{2, store.point_of(2)});
+  hostile.entries.push_back(PeerDescriptor{1'000'000, {15, 15}});
   auto d = frame_datagram(2, 0, hostile);
   rig.a->inject_datagram(d.data(), d.size());
   EXPECT_EQ(rig.a->metrics().node_value(0, "wire.decode_fail"), 1u);
@@ -440,7 +440,7 @@ TEST(UdpRuntime, HostileDescriptorIdLeavesTheStoreUnchanged) {
 
   // The node keeps answering: a well-formed exchange gets its reply.
   CyclonShuffleMsg good;
-  good.entries.push_back(make_descriptor(space, 2, store.point_of(2)));
+  good.entries.push_back(PeerDescriptor{2, store.point_of(2)});
   d = frame_datagram(2, 0, good);
   rig.a->inject_datagram(d.data(), d.size());
   ASSERT_TRUE(rig.pump([&] { return p2->received > 0; }));

@@ -225,10 +225,11 @@ TEST(Cells, SubcellsPartitionTheSpace) {
 TEST(Cells, CellKeyGroupsByLevel) {
   auto s = AttributeSpace::uniform(2, 3, 0, 80);
   Cells c(s);
-  EXPECT_EQ(c.cell_key({0, 0}, 1), c.cell_key({1, 1}, 1));
-  EXPECT_NE(c.cell_key({0, 0}, 1), c.cell_key({2, 0}, 1));
+  const CellIndex a[] = {0, 0}, b[] = {1, 1}, far[] = {2, 0};
+  EXPECT_EQ(c.cell_key(a, 1), c.cell_key(b, 1));
+  EXPECT_NE(c.cell_key(a, 1), c.cell_key(far, 1));
   // Same cell coordinates at different levels must key differently.
-  EXPECT_NE(c.cell_key({0, 0}, 0), c.cell_key({0, 0}, 1));
+  EXPECT_NE(c.cell_key(a, 0), c.cell_key(a, 1));
 }
 
 TEST(Cells, ClassifyNeverFailsOnRandomCoords) {

@@ -92,6 +92,22 @@ TEST(WireBuffer, OversizedVarintRejected) {
   Reader r(w.bytes());
   r.varint();
   EXPECT_FALSE(r.ok());
+
+  // Ten bytes whose last one carries bits past 63: they would be dropped,
+  // so two byte strings would read as one value.
+  Writer past;
+  for (int i = 0; i < 9; ++i) past.u8(0xFF);
+  past.u8(0x7F);
+  Reader rp(past.bytes());
+  rp.varint();
+  EXPECT_FALSE(rp.ok());
+
+  Writer max;  // the largest value still reads
+  max.varint(~std::uint64_t{0});
+  ASSERT_EQ(max.size(), 10u);
+  Reader rm(max.bytes());
+  EXPECT_EQ(rm.varint(), ~std::uint64_t{0});
+  EXPECT_TRUE(rm.ok());
 }
 
 TEST(WireBuffer, BadPresenceByteRejected) {
@@ -113,7 +129,7 @@ TEST(WireBuffer, CountBombRejected) {
 // ---- message codecs ---------------------------------------------------------
 
 PeerDescriptor sample_descriptor(NodeId id) {
-  return PeerDescriptor{id, {10, 20, 30}, {1, 2, 3}, 4};
+  return PeerDescriptor{id, {10, 20, 30}, 4};
 }
 
 template <typename T>
@@ -139,7 +155,6 @@ TEST(WireCodec, CyclonRoundTrip) {
   ASSERT_EQ(out->entries.size(), 2u);
   EXPECT_EQ(out->entries[0].id, 1u);
   EXPECT_EQ(out->entries[1].values, (Point{10, 20, 30}));
-  EXPECT_EQ(out->entries[1].coord, (CellCoord{1, 2, 3}));
   EXPECT_EQ(out->entries[1].age, 4u);
 }
 
@@ -157,10 +172,10 @@ TEST(WireCodec, MixedDimensionalityFallsBackToFullEntries) {
   // Entries whose dimensionality differs from the reference (entry 0)
   // travel as full descriptors (flags=1); the rest as deltas.
   VicinityExchangeMsg m;
-  m.entries.push_back({1, Point{10, 20, 30}, CellCoord{1, 2, 3}, 4});
-  m.entries.push_back({2, Point{11, 19}, CellCoord{1, 2}, 5});  // fewer dims
-  m.entries.push_back({3, Point{}, CellCoord{}, 6});            // empty
-  m.entries.push_back({4, Point{12, 21, 29}, CellCoord{1, 2, 4}, 0});
+  m.entries.push_back({1, Point{10, 20, 30}, 4});
+  m.entries.push_back({2, Point{11, 19}, 5});  // fewer dims
+  m.entries.push_back({3, Point{}, 6});        // empty
+  m.entries.push_back({4, Point{12, 21, 29}, 0});
   auto out = round_trip(m);
   ASSERT_NE(out, nullptr);
   ASSERT_EQ(out->entries.size(), m.entries.size());
@@ -168,7 +183,6 @@ TEST(WireCodec, MixedDimensionalityFallsBackToFullEntries) {
     EXPECT_EQ(out->entries[i].id, m.entries[i].id);
     EXPECT_EQ(out->entries[i].age, m.entries[i].age);
     EXPECT_EQ(out->entries[i].values, m.entries[i].values);
-    EXPECT_EQ(out->entries[i].coord, m.entries[i].coord);
   }
 }
 
@@ -374,15 +388,8 @@ Point rand_point(Rng& rng) {
   return p;
 }
 
-CellCoord rand_coord(Rng& rng) {
-  CellCoord c(rng.below(6));
-  for (auto& i : c) i = static_cast<CellIndex>(rng.below(1u << 20));
-  return c;
-}
-
 PeerDescriptor rand_descriptor(Rng& rng) {
-  return PeerDescriptor{static_cast<NodeId>(rng.below(100'000)),
-                        rand_point(rng), rand_coord(rng),
+  return PeerDescriptor{static_cast<NodeId>(rng.below(100'000)), rand_point(rng),
                         static_cast<std::uint32_t>(rng.below(500))};
 }
 
@@ -410,6 +417,25 @@ RangeQuery rand_query(Rng& rng) {
 
 MatchRecord rand_record(Rng& rng) {
   return MatchRecord{static_cast<NodeId>(rng.below(100'000)), rand_point(rng)};
+}
+
+/// A candidate set as a reply carries it: strictly ascending ids drawn from
+/// the whole 32-bit range (the largest id included now and then), and one
+/// dimensionality with full-width values.
+std::vector<MatchRecord> rand_records(Rng& rng) {
+  std::vector<NodeId> ids(rng.below(8));
+  for (auto& id : ids) id = static_cast<NodeId>(rng.next());
+  if (!ids.empty() && rng.below(4) == 0) ids.front() = kInvalidNode;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const std::size_t dims = rng.below(6);
+  std::vector<MatchRecord> v;
+  for (NodeId id : ids) {
+    Point p(dims);
+    for (auto& x : p) x = rng.next();
+    v.push_back({id, p});
+  }
+  return v;
 }
 
 ResourceRecord rand_resource(Rng& rng) {
@@ -453,8 +479,7 @@ MessagePtr make_random(Kind k, Rng& rng) {
       auto m = std::make_unique<ReplyMsg>();
       m->id = rng.next();
       m->complete = rng.below(2) == 1;
-      m->matching.resize(rng.below(8));
-      for (auto& rec : m->matching) rec = rand_record(rng);
+      m->matching = rand_records(rng);
       return m;
     }
     case Kind::kProgress: {
@@ -516,7 +541,6 @@ void expect_descriptor_eq(const PeerDescriptor& a, const PeerDescriptor& b) {
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.age, b.age);
   EXPECT_EQ(a.values, b.values);
-  EXPECT_EQ(a.coord, b.coord);
 }
 
 void expect_same(const Message& a, const Message& b) {
@@ -659,7 +683,7 @@ TEST(WireProperty, EveryKindRoundTripsRandomizedMessages) {
 //
 // The gossip kinds delta-code their descriptor lists against the first
 // entry, so the interesting inputs are the shape gossip actually sends
-// (shared dimensionality, bounded attribute ranges, nearby coords) and
+// (shared dimensionality, bounded attribute ranges) and
 // adversarial extremes (mixed dimensionality, zig-zag wraparound).
 
 constexpr Kind kGossipKinds[] = {Kind::kCyclonRequest, Kind::kCyclonReply,
@@ -673,8 +697,6 @@ std::vector<PeerDescriptor> correlated_descriptors(Rng& rng, std::size_t n,
     d.age = static_cast<std::uint32_t>(rng.below(20));
     d.values.resize(dims);
     for (auto& val : d.values) val = rng.below(80);
-    d.coord.resize(dims);
-    for (auto& c : d.coord) c = static_cast<CellIndex>(rng.below(27));
   }
   return v;
 }

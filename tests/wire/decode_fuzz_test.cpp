@@ -15,15 +15,23 @@
 /// fallback) is what gets parsed. The last one feeds frames that decode
 /// cleanly yet name a peer id past the receiving store's rows to a node,
 /// whose ingress check must drop them.
+///
+/// The ReplyDecodeFuzz case hand-builds malformed reply record bodies (id
+/// gaps and varint values) and sends each through a UDP runtime's receive
+/// path to a node, which must drop and meter every one.
 
 #include "wire/codecs.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/selection_node.h"
+#include "net/datagram.h"
+#include "net/process.h"
+#include "net/udp_runtime.h"
 #include "runtime/loopback.h"
 
 namespace ares::wire {
@@ -35,8 +43,6 @@ PeerDescriptor fuzz_descriptor(Rng& rng) {
   d.age = static_cast<std::uint32_t>(rng.below(100));
   d.values.resize(rng.below(5));
   for (auto& v : d.values) v = rng.next();
-  d.coord.resize(rng.below(5));
-  for (auto& c : d.coord) c = static_cast<CellIndex>(rng.below(64));
   return d;
 }
 
@@ -88,6 +94,9 @@ std::vector<std::vector<std::uint8_t>> corpus(Rng& rng) {
   ReplyMsg r;
   r.id = rng.next();
   r.matching = {{3, {1, 2, 3}}, {4, {4, 5, 6}}};
+  add(r);
+  // Multi-byte varints in both the id gaps and the values.
+  r.matching = {{3, {1, 300, rng.next()}}, {70'000, {4, 5, 6}}};
   add(r);
 
   ProgressMsg p;
@@ -208,7 +217,7 @@ TEST(DecodeFuzz, PureRandomBuffersNeverCrash) {
 constexpr Kind kGossipKinds[] = {Kind::kCyclonRequest, Kind::kCyclonReply,
                                  Kind::kVicinityRequest, Kind::kVicinityReply};
 
-/// Gossip-shaped descriptors: 5 dimensions, bounded values, nearby coords.
+/// Gossip-shaped descriptors: 5 dimensions, bounded values.
 std::vector<PeerDescriptor> gossip_descriptors(Rng& rng, std::size_t n) {
   std::vector<PeerDescriptor> v(n);
   for (auto& d : v) {
@@ -216,8 +225,6 @@ std::vector<PeerDescriptor> gossip_descriptors(Rng& rng, std::size_t n) {
     d.age = static_cast<std::uint32_t>(rng.below(20));
     d.values.resize(5);
     for (auto& val : d.values) val = rng.below(80);
-    d.coord.resize(5);
-    for (auto& c : d.coord) c = static_cast<CellIndex>(rng.below(27));
   }
   return v;
 }
@@ -302,13 +309,13 @@ TEST(DeltaDecodeFuzz, TargetedMalformedFramesAreRejected) {
 
 TEST(DeltaDecodeFuzz, OutOfRangeBitmapBitsAreRejected) {
   // Two 3-dimensional entries: the second is a delta entry whose value
-  // bitmap sits after tag, count, the 46-byte reference, flags, and the
+  // bitmap sits after tag, count, the 33-byte reference, flags, and the
   // one-byte id and age deltas.
   std::vector<PeerDescriptor> entries;
-  entries.push_back({5, Point{10, 2000, 300000000000ULL}, CellCoord{1, 2, 7}, 0});
-  entries.push_back({6, Point{11, 1999, 300000000000ULL}, CellCoord{1, 2, 8}, 1});
+  entries.push_back({5, Point{10, 2000, 300000000000ULL}, 0});
+  entries.push_back({6, Point{11, 1999, 300000000000ULL}, 1});
   const auto good = gossip_frame(Kind::kCyclonRequest, entries);
-  constexpr std::size_t kFlags = 1 + 1 + 46;
+  constexpr std::size_t kFlags = 1 + 1 + 33;
   constexpr std::size_t kValueBitmap = kFlags + 3;
   ASSERT_EQ(good[kFlags], 0x00);
   ASSERT_EQ(good[kValueBitmap], 0x03);
@@ -369,6 +376,97 @@ TEST(DeltaDecodeFuzz, CleanFramesNamingIdsPastTheStoreAreDroppedByTheNode) {
   EXPECT_EQ(store.size(), rows);
   EXPECT_EQ(store.memory_bytes(), store_bytes);
   EXPECT_EQ(node.memory_bytes(), node_bytes);
+}
+
+// ---- reply record bodies --------------------------------------------------
+
+/// A kReply frame: tag, query id and complete flag, then `fields` as
+/// varints (count, dimensionality, then per record an id gap and d values),
+/// with `raw` bytes spliced in before field `at`.
+std::vector<std::uint8_t> reply_frame(const std::vector<std::uint64_t>& fields,
+                                      std::span<const std::uint8_t> raw = {},
+                                      std::size_t at = 0) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(Kind::kReply));
+  w.u64(0x51);
+  w.u8(1);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i == at) w.bytes_raw(raw.data(), raw.size());
+    w.varint(fields[i]);
+  }
+  return w.take();
+}
+
+TEST(ReplyDecodeFuzz, MalformedRecordBodiesAreDroppedAndMetered) {
+  // A 3-d node hosted by a UDP runtime: every frame below crosses the real
+  // receive path (datagram header, codec, then the node's ingress check).
+  const auto space = AttributeSpace::uniform(3, 3, 0, 80);
+  DescriptorStore store(space);
+  for (NodeId id = 0; id < 2; ++id) store.put(id, Point(3, 10 + 20 * id));
+  const int fd = net::udp_bind_loopback();
+  ASSERT_GE(fd, 0);
+  net::AddressBook book;
+  book.set(0, {0x7F000001, net::local_port(fd)});
+  net::UdpRuntime rt(fd, book, {});
+  ProtocolConfig cfg;
+  cfg.gossip_enabled = false;
+  rt.add_node(0, std::make_unique<SelectionNode>(space, store, store.point_of(0), cfg,
+                                                 std::vector<PeerDescriptor>{}, Rng(1)));
+  auto inject = [&rt](const std::vector<std::uint8_t>& frame) {
+    std::vector<std::uint8_t> d(net::kHeaderSize);
+    net::encode_header({1, 0, 0, static_cast<std::uint16_t>(frame.size())}, d.data());
+    d.insert(d.end(), frame.begin(), frame.end());
+    rt.inject_datagram(d.data(), d.size());
+    return rt.metrics().node_value(0, "wire.decode_fail");
+  };
+
+  // Control: ids 5 and 2^32 - 1 (the largest), multi-byte gaps and values.
+  const std::uint64_t last_gap = std::uint64_t{kInvalidNode} - 5;
+  const auto good = reply_frame({2, 3, 6, 10, 300, 20, last_gap, 10, 300, 20});
+  MessagePtr parsed = decode(good);
+  ASSERT_NE(parsed, nullptr);
+  const auto& records = static_cast<const ReplyMsg&>(*parsed).matching;
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].id, 5u);
+  EXPECT_EQ(records[1].id, kInvalidNode);
+  EXPECT_EQ(records[1].values, (Point{10, 300, 20}));
+  EXPECT_EQ(inject(good), 0u);
+
+  // 300 is the two-byte varint ac 02: the frame ends after its first byte.
+  auto truncated = reply_frame({1, 3, 6, 10, 20, 300});
+  ASSERT_EQ(truncated.back(), 0x02);
+  truncated.pop_back();
+  static constexpr std::uint8_t kOverlong[] = {0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                               0x80, 0x80, 0x80, 0x80, 0x01};
+  static constexpr std::uint8_t kPast64[] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                             0xFF, 0xFF, 0xFF, 0xFF, 0x02};
+  std::vector<std::uint64_t> too_wide = {1, Point::max_size() + 1, 6};
+  too_wide.resize(too_wide.size() + Point::max_size() + 1, 1);
+
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> frame;
+    bool parses;  // clean to the codec; only the node can tell
+  };
+  const Case cases[] = {
+      {"truncated inside a varint", truncated, false},
+      {"zero id gap", reply_frame({2, 3, 6, 10, 300, 20, 0, 10, 300, 20}), false},
+      {"gaps past 2^32 - 1",
+       reply_frame({2, 3, kInvalidNode, 10, 300, 20, 2, 10, 300, 20}), false},
+      {"one gap past 2^32 - 1", reply_frame({1, 3, std::uint64_t{1} << 40, 10, 300, 20}),
+       false},
+      {"over-long varint", reply_frame({1, 3, 6, 300, 20}, kOverlong, 3), false},
+      {"varint past 64 bits", reply_frame({1, 3, 6, 300, 20}, kPast64, 3), false},
+      {"dimensionality past the inline capacity", reply_frame(too_wide), false},
+      {"dimensionality 2 on a 3-d node", reply_frame({1, 2, 6, 10, 20}), true},
+  };
+  std::uint64_t fails = 0;
+  for (const Case& c : cases) {
+    EXPECT_EQ(decode(c.frame) != nullptr, c.parses) << c.what;
+    EXPECT_EQ(inject(c.frame), ++fails) << c.what;
+  }
+  EXPECT_EQ(inject(good), fails);  // the node still takes clean replies
+  EXPECT_EQ(rt.rx_rejected(), 0u);  // every frame got past the header
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 //
 // Every frame is a 1-byte wire::Kind tag plus the kind's body. The gossip
 // kinds carry delta-coded descriptor lists (docs/PROTOCOL.md
-// §"Descriptor-list encoding"): the first descriptor travels in full — the
-// same 46 bytes the paper's plain layout uses — and every later one as
-// deltas against it. Encoding these logical messages must reproduce the
-// bytes exactly, and decoding them must reproduce the field values. If this
-// test fails, the wire format changed — that breaks recorded-trace
-// compatibility and the paper's byte accounting, so it must be deliberate
-// and versioned (net::kVersion), never a side effect of a refactor.
+// §"Descriptor-list encoding"): the first descriptor travels in full — id,
+// age and values, 33 bytes where the paper's plain layout adds 13 bytes of
+// cell coordinates — and every later one as deltas against it. Reply
+// records travel as varint id gaps and values (§"Reply records").
+// Encoding these logical messages must reproduce the bytes exactly, and
+// decoding them must reproduce the field values. If this test fails, the
+// wire format changed — that breaks recorded-trace compatibility and the
+// paper's byte accounting, so it must be deliberate and versioned
+// (net::kVersion), never a side effect of a refactor. Version 3 re-pinned
+// every gossip frame and the non-empty reply.
 
 #include <gtest/gtest.h>
 
@@ -25,13 +28,12 @@ namespace ares {
 namespace {
 
 // One descriptor exercises every field width: small id / huge id, varint
-// point length, u64 values beyond 32 bits, multi-entry coord.
+// point length, u64 values beyond 32 bits.
 PeerDescriptor golden_descriptor(NodeId id, std::uint32_t age) {
   PeerDescriptor d;
   d.id = id;
   d.age = age;
   d.values = Point{10, 2000, 300000000000ULL};
-  d.coord = CellCoord{1, 2, 7};
   return d;
 }
 
@@ -55,24 +57,22 @@ std::vector<std::uint8_t> from_hex(const std::string& hex) {
   return out;
 }
 
-// 38-byte descriptor body (after id and age) shared by all four frames:
-//   |values|=3(varint) 3*u64 |coord|=3(varint) 3*u32
-const char* const kDescBody =
-    "030a00000000000000d00700000000000000b86"
-    "4d94500000003010000000200000007000000";
+// 25-byte descriptor body (after id and age) shared by all four frames:
+//   |values|=3(varint) 3*u64
+const char* const kDescBody = "030a00000000000000d00700000000000000b864d945000000";
 
 const std::string kDesc5Age0 = std::string("0500000000000000") + kDescBody;
 const std::string kDesc7Age1 = std::string("0700000001000000") + kDescBody;
 
 // Second entry as deltas against the first: flags=0 (delta), id
-// 0xDEADBEEF-5 and age +42 as zig-zag varints, then empty value and coord
-// bitmaps (every value and coord equals the reference's).
-const std::string kDeltaBeefAge42 = "00" "ab84929504" "54" "00" "00";
+// 0xDEADBEEF-5 and age +42 as zig-zag varints, then an empty value bitmap
+// (every value equals the reference's).
+const std::string kDeltaBeefAge42 = "00" "ab84929504" "54" "00";
 
-// kind tag, count=2, the reference, then the delta entry (57 bytes total;
+// kind tag, count=2, the reference, then the delta entry (43 bytes total;
 // the paper's plain layout of the same list is 94).
 const std::string kCyclonRequestHex = "0102" + kDesc5Age0 + kDeltaBeefAge42;
-// kind tag, count=1, one descriptor in full (48 bytes total).
+// kind tag, count=1, one descriptor in full (35 bytes total).
 const std::string kCyclonReplyHex = "0201" + kDesc7Age1;
 const std::string kVicinityRequestHex = "0302" + kDesc5Age0 + kDeltaBeefAge42;
 const std::string kVicinityReplyHex = "0401" + kDesc7Age1;
@@ -85,12 +85,10 @@ void check_decoded_entries(const std::vector<PeerDescriptor>& entries,
   EXPECT_EQ(entries[0].id, want.id);
   EXPECT_EQ(entries[0].age, want.age);
   EXPECT_EQ(entries[0].values, want.values);
-  EXPECT_EQ(entries[0].coord, want.coord);
   if (two_entry_frame) {
     EXPECT_EQ(entries[1].id, 0xDEADBEEFu);
     EXPECT_EQ(entries[1].age, 42u);
     EXPECT_EQ(entries[1].values, want.values);
-    EXPECT_EQ(entries[1].coord, want.coord);
   }
 }
 
@@ -101,6 +99,8 @@ TEST(GoldenFrames, CyclonRequestBytesUnchanged) {
   m.entries.push_back(golden_descriptor(0xDEADBEEF, 42));
   EXPECT_EQ(to_hex(wire::encode(m)), kCyclonRequestHex);
   EXPECT_EQ(m.wire_size(), kCyclonRequestHex.size() / 2);
+  EXPECT_EQ(m.wire_size(), 43u);
+  EXPECT_EQ(wire::paper_layout_savings(m), 94u - 43u);
 }
 
 TEST(GoldenFrames, CyclonReplyBytesUnchanged) {
@@ -155,20 +155,19 @@ TEST(GoldenFrames, PinnedFramesDecodeToOriginalFields) {
 }
 
 // A two-entry exchange whose second entry differs from the reference in
-// some values and coords: id +1 and age +1 (zig-zag 02), value bitmap 0b011
-// with deltas +1/-1, coord bitmap 0b100 with delta +1.
+// some values: id +1 and age +1 (zig-zag 02), value bitmap 0b011 with
+// deltas +1/-1.
 std::vector<PeerDescriptor> delta_golden_entries() {
   std::vector<PeerDescriptor> v;
-  v.push_back({5, Point{10, 2000, 300000000000ULL}, CellCoord{1, 2, 7}, 0});
-  v.push_back({6, Point{11, 1999, 300000000000ULL}, CellCoord{1, 2, 8}, 1});
+  v.push_back({5, Point{10, 2000, 300000000000ULL}, 0});
+  v.push_back({6, Point{11, 1999, 300000000000ULL}, 1});
   return v;
 }
 
 const std::string kCyclonDeltaHex = "0102" + kDesc5Age0 +
-                                    "00"      // entry 1: flags = delta
-                                    "0202"    // id +1, age +1 (zig-zag)
-                                    "030201"  // value bitmap 0b011, +1, -1
-                                    "0402";   // coord bitmap 0b100, +1
+                                    "00"       // entry 1: flags = delta
+                                    "0202"     // id +1, age +1 (zig-zag)
+                                    "030201";  // value bitmap 0b011, +1, -1
 
 TEST(DeltaGoldenFrames, CyclonRequestDeltaBytesPinned) {
   CyclonShuffleMsg m;
@@ -189,15 +188,16 @@ TEST(DeltaGoldenFrames, PinnedDeltaFrameDecodesToOriginalFields) {
     EXPECT_EQ(s->entries[i].id, want[i].id);
     EXPECT_EQ(s->entries[i].age, want[i].age);
     EXPECT_EQ(s->entries[i].values, want[i].values);
-    EXPECT_EQ(s->entries[i].coord, want[i].coord);
   }
 }
 
 // ---- select-path frames (query / reply / progress) -------------------------
 //
-// Pinned when ReplyMsg grew its `complete` flag (the u8 after the id). These
-// freeze the serving-path wire format: the reply flag, sigma-infinity and
-// level -1 encodings, and dynamic filters all have exactly one byte layout.
+// Pinned when ReplyMsg grew its `complete` flag (the u8 after the id), and
+// the non-empty reply again when records became id gaps and varint values
+// (69 bytes before, 30 now). These freeze the serving-path wire format: the
+// reply flag, the record body, sigma-infinity and level -1 encodings, and
+// dynamic filters all have exactly one byte layout.
 
 QueryMsg golden_query(std::uint32_t sigma, int level, std::uint32_t mask) {
   QueryMsg q;
@@ -218,9 +218,12 @@ const char* const kQueryHex =
 const char* const kQueryNoSigmaHex =
     "0508070605040302010900000003000000ffffffff000000000003012800000001070109010"
     "1016401c801";
+// tag, id, complete=1, count=2, dims=3, then per record the id gap (5+1,
+// 0xDEADBEEF-5) and three varint values.
 const char* const kReplyCompleteHex =
-    "060807060504030201010205000000030a00000000000000d00700000000000000b864d9450"
-    "00000efbeadde03010000000000000002000000000000000300000000000000";
+    "06080706050403020101020306"
+    "0ad00f80f092cbdd08"  // 10, 2000, 300000000000
+    "eafdb6f50d010203";
 const char* const kReplyIncompleteEmptyHex = "0608070605040302010000";
 const char* const kProgressHex = "070807060504030201";
 
@@ -236,6 +239,7 @@ TEST(GoldenFrames, ReplyBytesUnchanged) {
   r.complete = true;
   r.matching = {{5, {10, 2000, 300000000000ULL}}, {0xDEADBEEF, {1, 2, 3}}};
   EXPECT_EQ(to_hex(wire::encode(r)), kReplyCompleteHex);
+  EXPECT_EQ(r.wire_size(), 30u);
   ReplyMsg empty;
   empty.id = 0x0102030405060708ULL;
   empty.complete = false;
@@ -269,6 +273,7 @@ TEST(GoldenFrames, PinnedSelectFramesDecodeToOriginalFields) {
   EXPECT_EQ(r->matching[0].id, 5u);
   EXPECT_EQ(r->matching[0].values, (Point{10, 2000, 300000000000ULL}));
   EXPECT_EQ(r->matching[1].id, 0xDEADBEEFu);
+  EXPECT_EQ(r->matching[1].values, (Point{1, 2, 3}));
 
   MessagePtr im = wire::decode(from_hex(kReplyIncompleteEmptyHex));
   ASSERT_NE(im, nullptr);
@@ -286,7 +291,6 @@ TEST(GoldenFrames, OverCapacityPointCountFailsDecodeCleanly) {
   hex.push_back("0123456789abcdef"[n >> 4]);
   hex.push_back("0123456789abcdef"[n & 0xF]);
   for (std::size_t i = 0; i < n; ++i) hex += "0a00000000000000";
-  hex += "00";  // empty coord
   EXPECT_EQ(wire::decode(from_hex(hex)), nullptr);
 }
 
