@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "exp/grid.h"
@@ -150,6 +151,105 @@ TEST(TimeoutRecovery, ConcurrentQueriesKeepTimersSeparate) {
       EXPECT_TRUE(lc.pool[out.pool_index[i]].matches(m.values));
     }
   }
+}
+
+/// recovery_config with coalescing and the result cache on: concurrent
+/// branches into one subcell ride one shared traversal, which must be kept
+/// alive, timed out, purged and retried like any other branch.
+Grid::Config shared_recovery_config(bool retry) {
+  auto cfg = recovery_config(/*timeouts=*/true);
+  cfg.protocol.retry_alternates = retry;
+  cfg.protocol.coalesce_queries = true;
+  cfg.protocol.result_cache_capacity = 64;
+  return cfg;
+}
+
+/// The overlapping open-loop burst of ConcurrentQueriesKeepTimersSeparate.
+OpenLoopConfig shared_burst(Grid& grid) {
+  OpenLoopConfig lc;
+  lc.rate_qps = 300;
+  lc.total_queries = 60;
+  lc.pool = {RangeQuery::any(2), RangeQuery::any(2).with(0, 20, 70)};
+  for (int i = 0; i < 4; ++i) lc.origins.push_back(grid.random_node());
+  lc.seed = 31;
+  lc.keep_results = true;
+  return lc;
+}
+
+/// Every arrival completed, with live records that match its shape, and no
+/// shared traversal is left open anywhere.
+void expect_burst_resolved(Grid& grid, const OpenLoopConfig& lc,
+                           const OpenLoopResult& out) {
+  EXPECT_EQ(out.completed, out.issued);
+  for (std::size_t i = 0; i < out.issued; ++i) {
+    ASSERT_NE(out.done[i], 0) << "arrival " << i << " never completed";
+    for (const auto& m : out.results[i]) {
+      EXPECT_TRUE(grid.net().alive(m.id));
+      EXPECT_TRUE(lc.pool[out.pool_index[i]].matches(m.values));
+    }
+  }
+  EXPECT_GT(grid.net().metrics().total("query.coalesce_attach"), 0u)
+      << "burst never coalesced: test lost its teeth";
+  for (NodeId id : grid.node_ids()) EXPECT_EQ(grid.node(id).shared_branches(), 0u);
+}
+
+std::vector<NodeId> sorted_ids(const std::vector<MatchRecord>& ms) {
+  std::vector<NodeId> ids;
+  for (const auto& m : ms) ids.push_back(m.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(SharedTraversalFaults, BurstThroughDeadNodesRetriesAlternates) {
+  auto cfg = shared_recovery_config(/*retry=*/true);
+  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+  silent_kill(grid, 25, grid.random_node());
+  const auto lc = shared_burst(grid);
+  const auto out = run_open_loop(grid, lc);
+  expect_burst_resolved(grid, lc, out);
+  EXPECT_GT(grid.net().metrics().total("query.timeouts"), 0u);
+  EXPECT_GT(grid.net().metrics().total("query.retries"), 0u);
+}
+
+TEST(SharedTraversalFaults, DeadBranchWithoutRetryResolvesRidersUncached) {
+  auto cfg = shared_recovery_config(/*retry=*/false);
+  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+  const auto victims = silent_kill(grid, 25, grid.random_node());
+  const auto lc = shared_burst(grid);
+  const auto out = run_open_loop(grid, lc);
+  expect_burst_resolved(grid, lc, out);
+  EXPECT_GT(grid.net().metrics().total("query.timeouts"), 0u);
+  EXPECT_EQ(grid.net().metrics().total("query.retries"), 0u);
+  // Nothing a dead branch returned was cached: once every table forgets the
+  // dead nodes, each shape asked again at the same portals (the same cache
+  // keys) is answered exactly.
+  for (NodeId id : grid.node_ids())
+    for (NodeId v : victims) grid.node(id).routing().remove(v);
+  for (NodeId origin : lc.origins)
+    for (const auto& q : lc.pool) {
+      auto again = grid.run_query(origin, q, kNoSigma, 300 * kSecond);
+      ASSERT_TRUE(again.completed);
+      EXPECT_EQ(sorted_ids(again.matches), grid.ground_truth(q));
+    }
+}
+
+TEST(SharedTraversalFaults, KeepalivesReachTheRoot) {
+  // T(q) far below a shared subtree's latency and nobody dead: the root of
+  // each shared traversal hears its child's keepalives, so nothing times out.
+  // T(q) still exceeds a LAN round trip (at most 1 ms) plus the keepalive
+  // period T(q)/2. No cache, so every query walks its whole tree.
+  auto cfg = shared_recovery_config(/*retry=*/true);
+  cfg.protocol.query_timeout = 3 * kMillisecond;
+  cfg.protocol.result_cache_capacity = 0;
+  Grid grid(cfg, uniform_points(cfg.space, 0, 80));
+  const auto lc = shared_burst(grid);
+  const auto out = run_open_loop(grid, lc);
+  expect_burst_resolved(grid, lc, out);
+  EXPECT_GT(out.p50_latency_s, 5 * 0.003) << "subtrees too fast to need keepalives";
+  EXPECT_EQ(grid.net().metrics().total("query.timeouts"), 0u);
+  for (std::size_t i = 0; i < out.issued; ++i)
+    EXPECT_EQ(sorted_ids(out.results[i]), grid.ground_truth(lc.pool[out.pool_index[i]]))
+        << "arrival " << i;
 }
 
 TEST(TimeoutRecovery, SigmaQueriesUnaffectedByFarFailures) {
