@@ -80,8 +80,9 @@ struct ReplyMsg final : Message {
   /// wire body codes ids as gaps and states d once.
   std::vector<MatchRecord> matching;
   /// True when the replying subtree exhausted its delegated fragment: the
-  /// DFS wound all the way down (no sigma early-cutoff), no branch failed or
-  /// lacked a link, and every child reply was itself complete. Only complete
+  /// DFS wound all the way down (no sigma early-cutoff), no branch failed,
+  /// and every child reply was itself complete. A subcell with no known
+  /// link counts as empty (SelectionNode::finish). Only complete
   /// fragments may enter the result cache (see ProtocolConfig::
   /// result_cache_capacity); partial answers are still merged normally.
   bool complete = false;

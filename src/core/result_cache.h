@@ -63,7 +63,7 @@ FragmentKey make_fragment_key(const AttributeSpace& space, const Region& subcell
 /// True when a fragment with key `inner` is answerable from the records of
 /// a fragment with key `outer`: same subcell, and outer's clamped ranges
 /// contain inner's on every dimension. Used by query coalescing to let a
-/// late rider share an already-dispatched union traversal.
+/// later branch ride an open shared traversal.
 bool fragment_covers(const FragmentKey& outer, const FragmentKey& inner);
 
 /// Bounded LRU of resolved fragments. Deterministic: lookups go through a
