@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -99,9 +100,36 @@ std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
 
 void Rng::sample_indices_into(std::size_t n, std::size_t k, std::vector<std::size_t>& out) {
   assert(k <= n);
-  // Partial Fisher-Yates. Both branches make the same RNG draws and produce
-  // the same indices; the split is purely a cost choice, so recorded runs
-  // stay bit-identical regardless of which path a call takes.
+  // Partial Fisher-Yates. All three branches make the same RNG draws and
+  // produce the same indices; the split is purely a cost choice, so recorded
+  // runs stay bit-identical regardless of which path a call takes.
+  constexpr std::size_t kFlat = 8;
+  if (k <= kFlat) {
+    // Small k (gossip subsets, oracle slot draws, introducers): step i
+    // displaces at most one position, so at most k (position, value) pairs
+    // differ from the identity. A flat array searched linearly holds them,
+    // whatever n is.
+    std::array<std::pair<std::size_t, std::size_t>, kFlat> displaced;
+    std::size_t moved = 0;
+    auto value_at = [&displaced, &moved](std::size_t pos) {
+      for (std::size_t m = 0; m < moved; ++m)
+        if (displaced[m].first == pos) return displaced[m].second;
+      return pos;
+    };
+    out.clear();
+    out.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = i + index(n - i);
+      const std::size_t vj = value_at(j);
+      const std::size_t vi = value_at(i);
+      std::size_t m = 0;
+      while (m < moved && displaced[m].first != j) ++m;
+      if (m == moved) ++moved;
+      displaced[m] = {j, vi};
+      out.push_back(vj);
+    }
+    return;
+  }
   if (n <= 1024 || k >= n / 8) {
     // Dense: materialize the identity permutation and swap in place.
     out.resize(n);

@@ -4,9 +4,37 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 namespace ares {
 namespace {
+
+/// The two partial Fisher-Yates paths sample_indices_into took before it
+/// kept small draws in a flat array: swaps over the materialized identity
+/// permutation (dense), and swaps recorded in a hash map of displaced
+/// positions (sparse). Kept as the references every path must reproduce.
+std::vector<std::size_t> reference_dense(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  for (std::size_t i = 0; i < k; ++i) std::swap(perm[i], perm[i + rng.index(n - i)]);
+  perm.resize(k);
+  return perm;
+}
+
+std::vector<std::size_t> reference_sparse(Rng& rng, std::size_t n, std::size_t k) {
+  std::vector<std::size_t> out;
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + rng.index(n - i);
+    auto it = displaced.find(j);
+    const std::size_t vj = it == displaced.end() ? j : it->second;
+    auto self = displaced.find(i);
+    displaced[j] = self == displaced.end() ? i : self->second;
+    out.push_back(vj);
+  }
+  return out;
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
@@ -162,6 +190,35 @@ TEST(Rng, SampleIndicesSparsePathMatchesDense) {
       // Both consumed the same number of draws.
       EXPECT_EQ(sparse_rng.next(), dense_rng.next());
     }
+  }
+}
+
+TEST(Rng, SampleIndicesMatchesBothReferencePaths) {
+  // Random (n, k) on both sides of the small-k cutoff (8) and of the old
+  // dense/sparse split (n <= 1024 or k >= n/8), with k = 0 and k = n, up to
+  // n = 10^6. Every draw must equal both references' and consume the
+  // stream alike.
+  Rng gen(53);
+  std::vector<std::pair<std::size_t, std::size_t>> cases = {
+      {0, 0}, {1, 0}, {1, 1}, {8, 8}, {9, 9}, {781, 3}, {100'000, 5},
+      {1'000'000, 0}, {1'000'000, 1}, {1'000'000, 8}, {1'000'000, 9}};
+  for (int t = 0; t < 400; ++t) {
+    const std::size_t n = 1 + gen.below(t % 2 == 0 ? 1024 : 200'000);
+    const std::size_t k = t % 5 == 0   ? n
+                          : t % 7 == 0 ? 0
+                                       : gen.below(std::min<std::size_t>(n, 24) + 1);
+    cases.emplace_back(n, k);
+  }
+  std::vector<std::size_t> got;
+  for (const auto& [n, k] : cases) {
+    const std::uint64_t seed = gen.next();
+    Rng rng(seed), dense(seed), sparse(seed);
+    rng.sample_indices_into(n, k, got);
+    ASSERT_EQ(got, reference_dense(dense, n, k)) << "n=" << n << " k=" << k;
+    ASSERT_EQ(got, reference_sparse(sparse, n, k)) << "n=" << n << " k=" << k;
+    const std::uint64_t after = rng.next();
+    EXPECT_EQ(dense.next(), after) << "n=" << n << " k=" << k;
+    EXPECT_EQ(sparse.next(), after) << "n=" << n << " k=" << k;
   }
 }
 
