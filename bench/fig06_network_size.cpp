@@ -81,9 +81,11 @@ int main() {
 
   // Peak-RSS regression gate. Baselines are process-peak-RSS / N measured
   // at the two large sweep points in the bench-smoke profile (one trial
-  // thread; 8 shards at N=1M), once nodes held only protocol state (gossip
-  // scratch per thread, bootstrap list released); the pre-store layout sat
-  // at ~23,000 bytes/node at N=100k. The gate only fires when the sweep ends
+  // thread; 8 shards at N=1M), once a node kept one copy of each fact (its
+  // values and cell only in its store row, one shared config, per-node
+  // arrays sized once); the pre-store layout sat at ~23,000 bytes/node at
+  // N=100k. Lower them when a change shrinks a node; never raise them.
+  // The gate only fires when the sweep ends
   // at a baselined size AND that point ran alone (ARES_MIN_N pinned to it,
   // the bench-smoke profile) — in a full sweep the small points' grids
   // inflate the process high-water mark and bytes/node would be noise.
@@ -91,7 +93,7 @@ int main() {
     std::size_t n;
     double bytes_per_node;
   };
-  constexpr RssBaseline kRssBaselines[] = {{100000, 2570.0}, {1000000, 2835.0}};
+  constexpr RssBaseline kRssBaselines[] = {{100000, 1780.0}, {1000000, 2048.0}};
   const std::size_t top_n = sizes.empty() ? 0 : sizes.back();
   const std::uint64_t peak_rss = exp::peak_rss_bytes();
   const double bytes_per_node =

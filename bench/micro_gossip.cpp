@@ -111,12 +111,10 @@ class Cluster {
       auto send = [this, i](NodeId to, MessagePtr m) {
         deliver(i, to, std::move(m));
       };
-      host->cyclon =
-          std::make_unique<Cyclon>(i, store_, CyclonConfig{}, rng_, send);
-      host->vicinity = std::make_unique<Vicinity>(i, store_.coord_of(i), cells, store_,
-                                                  VicinityConfig{}, rng_, send);
-      host->rt = std::make_unique<RoutingTable>(cells, store_.coord_of(i), i,
-                                                RoutingConfig{}, store_);
+      host->cyclon = std::make_unique<Cyclon>(i, store_, cfg_.cyclon, rng_, send);
+      host->vicinity =
+          std::make_unique<Vicinity>(i, cells, store_, cfg_.vicinity, rng_, send);
+      host->rt = std::make_unique<RoutingTable>(cells, i, cfg_.routing, store_);
       hosts_.push_back(std::move(host));
     }
     // Bootstrap every node with a handful of ring neighbors.
@@ -138,7 +136,7 @@ class Cluster {
     h.cyclon->tick();
     h.vicinity->tick(h.cyclon->view());
     h.rt->age_all();
-    h.rt->drop_older_than(ProtocolConfig{}.rt_max_age);
+    h.rt->drop_older_than(cfg_.rt_max_age);
     h.refresh_all();
   }
 
@@ -155,6 +153,7 @@ class Cluster {
 
   Rng rng_{42};
   DescriptorStore store_;
+  const ProtocolConfig cfg_{};  // shared by every host's layers
   std::vector<std::unique_ptr<GossipHost>> hosts_;
 };
 

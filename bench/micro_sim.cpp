@@ -222,8 +222,8 @@ MicroResult bench_vicinity(std::uint64_t ops) {
 
   const Point self_values = gen(rng);
   store.put(1000, self_values);
-  Vicinity vic(1000, space.coord_of(self_values), cells, store, VicinityConfig{},
-               rng, [](NodeId, MessagePtr) {});
+  const VicinityConfig cfg{};
+  Vicinity vic(1000, cells, store, cfg, rng, [](NodeId, MessagePtr) {});
   vic.seed(candidates, cyclon);
   PeerDescriptor target{2000, gen(rng)};
 

@@ -40,6 +40,7 @@ class FlatMap {
   const_iterator end() const { return entries_.end(); }
 
   std::size_t size() const { return entries_.size(); }
+  std::size_t capacity() const { return entries_.capacity(); }
   bool empty() const { return entries_.empty(); }
   void clear() { entries_.clear(); }
 

@@ -122,6 +122,17 @@ void ResultCache::insert(const FragmentKey& k, std::vector<MatchRecord> records)
   ++stats_.insertions;
 }
 
+std::size_t ResultCache::memory_bytes() const {
+  // A list node is two links and the entry; an index node is a next link
+  // and the (hash, position) pair. A one-bucket table keeps its array inline.
+  const std::size_t buckets = index_.bucket_count() > 1 ? index_.bucket_count() : 0;
+  std::size_t n = sizeof(*this) + buckets * sizeof(void*) +
+                  lru_.size() * (2 * sizeof(void*) + sizeof(Entry)) +
+                  index_.size() * (sizeof(void*) + sizeof(decltype(index_)::value_type));
+  for (const Entry& e : lru_) n += e.records.capacity() * sizeof(MatchRecord);
+  return n;
+}
+
 void ResultCache::age_tick() {
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (++it->age > horizon_) {

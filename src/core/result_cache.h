@@ -95,6 +95,11 @@ class ResultCache {
   std::size_t size() const { return lru_.size(); }
   const Stats& stats() const { return stats_; }
 
+  /// The object plus the heap it owns: one LRU list node per entry with
+  /// the records it holds, and the index (its bucket array, once it has
+  /// one, plus one node per entry).
+  std::size_t memory_bytes() const;
+
   /// Returns the cached fragment (refreshing its LRU position, not its age)
   /// or nullptr. Counts a hit or miss.
   const Entry* lookup(const FragmentKey& k);

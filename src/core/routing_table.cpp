@@ -18,11 +18,11 @@ bool slot_less(CompactPeer a, CompactPeer b) {
 
 }  // namespace
 
-RoutingTable::RoutingTable(const Cells& cells, CellCoord self_coord, NodeId self_id,
-                           RoutingConfig cfg, DescriptorStore& store)
-    : cells_(cells), self_coord_(std::move(self_coord)), self_id_(self_id),
-      cfg_(cfg), store_(store) {
+RoutingTable::RoutingTable(const Cells& cells, NodeId self_id,
+                           const RoutingConfig& cfg, DescriptorStore& store)
+    : cells_(cells), cfg_(cfg), store_(store), self_id_(self_id) {
   assert(cfg_.slot_capacity >= 1);
+  assert(store_.contains(self_id_));
   const std::size_t n =
       static_cast<std::size_t>(levels()) * static_cast<std::size_t>(dims());
   pool_.resize(n * cfg_.slot_capacity);
@@ -80,7 +80,7 @@ void RoutingTable::offer(const PeerDescriptor& d) {
 void RoutingTable::offer(CompactPeer c) {
   if (c.id == self_id_) return;
   assert(store_.contains(c.id));
-  auto slot = cells_.classify(self_coord_.data(), store_.coord_ptr(c.id));
+  auto slot = cells_.classify(store_.coord_ptr(self_id_), store_.coord_ptr(c.id));
   if (!slot) return;  // coords outside the space
   offer_classified(c, *slot);
 }

@@ -36,8 +36,14 @@ struct RoutingConfig {
 
 class RoutingTable {
  public:
-  RoutingTable(const Cells& cells, CellCoord self_coord, NodeId self_id,
-               RoutingConfig cfg, DescriptorStore& store);
+  /// \param self_id the owning node; its profile must already be in `store`
+  ///        (SelectionNode::start() registers it first). Its row is the
+  ///        table's only copy of its cell, so a put() that moves it
+  ///        reclassifies every later offer.
+  /// \param cfg must outlive the table (one config serves a deployment)
+  RoutingTable(const Cells& cells, NodeId self_id, const RoutingConfig& cfg,
+               DescriptorStore& store);
+  RoutingTable(const Cells&, NodeId, RoutingConfig&&, DescriptorStore&) = delete;
 
   int levels() const { return cells_.space().max_level(); }
   int dims() const { return cells_.space().dimensions(); }
@@ -105,8 +111,6 @@ class RoutingTable {
   /// Number of slots with at least one candidate.
   std::size_t populated_slots() const;
 
-  const CellCoord& self_coord() const { return self_coord_; }
-
   /// The object plus the slot pool and neighborsZero storage it owns.
   std::size_t memory_bytes() const {
     return sizeof(*this) + pool_.capacity() * sizeof(CompactPeer) +
@@ -125,9 +129,7 @@ class RoutingTable {
                             std::size_t cap);
 
   const Cells& cells_;
-  CellCoord self_coord_;
-  NodeId self_id_;
-  RoutingConfig cfg_;
+  const RoutingConfig& cfg_;
   DescriptorStore& store_;
   /// Flat slot pool: slot (level,dim) owns the fixed-capacity range
   /// [slot_index * slot_capacity, +slot_capacity), of which counts_[i] are
@@ -135,6 +137,7 @@ class RoutingTable {
   std::vector<CompactPeer> pool_;
   std::vector<std::uint16_t> counts_;
   std::vector<CompactPeer> zero_;
+  NodeId self_id_;
   std::uint32_t losses_ = 0;
 };
 

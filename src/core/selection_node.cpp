@@ -17,24 +17,29 @@ bool holds(const std::vector<MatchRecord>& matching, NodeId id) {
 }  // namespace
 
 SelectionNode::SelectionNode(const AttributeSpace& space, DescriptorStore& store,
-                             Point values, ProtocolConfig cfg,
+                             Point values, const ProtocolConfig& cfg,
                              std::vector<PeerDescriptor> bootstrap, Rng rng,
                              QueryObserver* observer)
-    : space_(space),
-      store_(store),
+    : store_(store),
       cells_(space),
-      values_(std::move(values)),
-      coord_(space.coord_of(values_)),
       cfg_(cfg),
-      bootstrap_(std::move(bootstrap)),
+      joining_(std::make_unique<Joining>(Joining{values, std::move(bootstrap)})),
       rng_(rng),
       observer_(observer),
       cache_(cfg.result_cache_capacity, cfg.result_cache_horizon) {
-  assert(static_cast<int>(values_.size()) == space.dimensions());
+  assert(static_cast<int>(joining_->values.size()) == space.dimensions());
+}
+
+Point SelectionNode::values() const {
+  return joining_ != nullptr ? joining_->values : store_.point_of(id());
+}
+
+CellCoord SelectionNode::coord() const {
+  return joining_ != nullptr ? space().coord_of(joining_->values) : store_.coord_of(id());
 }
 
 PeerDescriptor SelectionNode::descriptor() const {
-  return PeerDescriptor{id(), values_, 0};
+  return PeerDescriptor{id(), values(), 0};
 }
 
 std::size_t SelectionNode::memory_bytes() const {
@@ -46,9 +51,19 @@ std::size_t SelectionNode::memory_bytes() const {
     return (buckets + t.size()) * sizeof(void*) + t.size() * sizeof(Value);
   };
   std::size_t n = sizeof(*this) + dynamic_values_.capacity() * sizeof(AttrValue) +
-                  bootstrap_.capacity() * sizeof(PeerDescriptor) +
-                  table_bytes(active_) + table_bytes(completed_);
-  n += shared_.size() * sizeof(decltype(shared_)::value_type);
+                  table_bytes(active_) + table_bytes(completed_) +
+                  cache_.memory_bytes() - sizeof(cache_);
+  if (joining_ != nullptr)
+    n += sizeof(Joining) + joining_->bootstrap.capacity() * sizeof(PeerDescriptor);
+  for (const QueryId qid : sorted_keys(active_)) {
+    const QueryState& st = active_.at(qid);
+    n += st.msg.query.memory_bytes() + st.matching.capacity() * sizeof(MatchRecord) +
+         st.waiting.capacity() * sizeof(decltype(st.waiting)::value_type) +
+         st.failed.capacity() * sizeof(NodeId);
+  }
+  n += shared_.capacity() * sizeof(decltype(shared_)::value_type);
+  for (const auto& [sqid, riders] : shared_)
+    n += riders.capacity() * sizeof(SharedRider);
   if (rt_ != nullptr) n += rt_->memory_bytes();
   if (cyclon_ != nullptr) n += cyclon_->memory_bytes() + vicinity_->memory_bytes();
   return n;
@@ -67,22 +82,22 @@ void SelectionNode::start() {
   m_coalesce_dispatch_ = metrics().counter("query.coalesce_dispatch");
   m_decode_fail_ = metrics().counter("wire.decode_fail");
 
-  // Register our own profile before any layer hands out handles to it.
-  store_.put(id(), values_);
-  rt_ = std::make_unique<RoutingTable>(cells_, coord_, id(), cfg_.routing, store_);
+  // Register our own profile before any layer hands out handles to it: from
+  // here on the store row is the node's only copy of it. The introducers
+  // live on only as seeded links; the join state is released when this
+  // scope ends.
+  const std::unique_ptr<Joining> joining = std::move(joining_);
+  store_.put(id(), joining->values);
+  rt_ = std::make_unique<RoutingTable>(cells_, id(), cfg_.routing, store_);
 
   auto send_fn = [this](NodeId to, MessagePtr m) { send(to, std::move(m)); };
   cyclon_ = std::make_unique<Cyclon>(id(), store_, cfg_.cyclon, rng_, send_fn);
-  vicinity_ = std::make_unique<Vicinity>(id(), coord_, cells_, store_, cfg_.vicinity,
-                                         rng_, send_fn);
+  vicinity_ =
+      std::make_unique<Vicinity>(id(), cells_, store_, cfg_.vicinity, rng_, send_fn);
 
-  // The introducers live on only as seeded links; the list's storage is
-  // released when this scope ends.
-  std::vector<PeerDescriptor> bootstrap;
-  bootstrap.swap(bootstrap_);
-  cyclon_->seed(bootstrap);
-  vicinity_->seed(bootstrap, cyclon_->view());
-  for (const auto& c : bootstrap) rt_->offer(c);
+  cyclon_->seed(joining->bootstrap);
+  vicinity_->seed(joining->bootstrap, cyclon_->view());
+  for (const auto& c : joining->bootstrap) rt_->offer(c);
   routing_synced_ = routing_epoch() - 1;  // the first refresh is a full one
 
   if (cfg_.gossip_enabled) {
@@ -141,18 +156,19 @@ void SelectionNode::refresh_routing(const View& view,
 }
 
 void SelectionNode::set_values(Point values) {
-  assert(static_cast<int>(values.size()) == space_.dimensions());
-  values_ = std::move(values);
-  coord_ = space_.coord_of(values_);
-  if (rt_ == nullptr) return;  // not started yet
-  store_.put(id(), values_);  // authoritative profile update
+  assert(static_cast<int>(values.size()) == space().dimensions());
+  if (joining_ != nullptr) {  // not started yet
+    joining_->values = values;
+    return;
+  }
+  store_.put(id(), values);  // authoritative profile update
   // Re-place ourselves: every link classifies differently now.
   std::vector<CompactPeer> known;
   for (const CompactPeer e : rt_->zero()) known.push_back(e);
   for (int l = 1; l <= rt_->levels(); ++l)
     for (int k = 0; k < rt_->dims(); ++k)
       for (const CompactPeer e : rt_->slot(l, k)) known.push_back(e);
-  rt_ = std::make_unique<RoutingTable>(cells_, coord_, id(), cfg_.routing, store_);
+  rt_ = std::make_unique<RoutingTable>(cells_, id(), cfg_.routing, store_);
   for (const CompactPeer e : known) rt_->offer(e);
   routing_synced_ = routing_epoch() - 1;  // the next refresh is a full one
   // Recreate gossip layers with the new self profile; views carry over
@@ -168,20 +184,20 @@ void SelectionNode::set_values(Point values) {
   auto vicinity_entries = materialize_view(vicinity_->view());
   cyclon_ = std::make_unique<Cyclon>(id(), store_, cfg_.cyclon, rng_, send_fn);
   cyclon_->seed(cyclon_entries);
-  vicinity_ = std::make_unique<Vicinity>(id(), coord_, cells_, store_, cfg_.vicinity,
-                                         rng_, send_fn);
+  vicinity_ =
+      std::make_unique<Vicinity>(id(), cells_, store_, cfg_.vicinity, rng_, send_fn);
   vicinity_->seed(vicinity_entries, cyclon_->view());
 }
 
 // ---- query protocol -----------------------------------------------------
 
 bool SelectionNode::matches_self(const RangeQuery& q) const {
-  return q.matches(values_) && q.matches_dynamic(dynamic_values_);
+  return q.matches(own_values()) && q.matches_dynamic(dynamic_values_);
 }
 
 QueryId SelectionNode::submit(const RangeQuery& q, std::uint32_t sigma,
                               CompletionFn done) {
-  assert(q.dimensions() == space_.dimensions());
+  assert(q.dimensions() == space().dimensions());
   assert(sigma > 0);
   QueryId qid = (static_cast<QueryId>(id()) << 32) | next_query_seq_++;
   QueryMsg qm;
@@ -190,8 +206,8 @@ QueryId SelectionNode::submit(const RangeQuery& q, std::uint32_t sigma,
   qm.origin = id();
   qm.query = q;
   qm.sigma = sigma;
-  qm.level = space_.max_level();
-  qm.dims_mask = all_dims_mask(space_.dimensions());
+  qm.level = space().max_level();
+  qm.dims_mask = all_dims_mask(space().dimensions());
   handle_query(id(), qm, /*is_origin=*/true, std::move(done));
   return qid;
 }
@@ -203,7 +219,7 @@ QueryId SelectionNode::submit(const RangeQuery& q, std::uint32_t sigma,
 /// handlers would index past their arrays, or grow the store, on it, so to
 /// this node it is as unusable as a frame that does not parse.
 bool SelectionNode::fits_space(const Message& m) const {
-  const auto d = static_cast<std::size_t>(space_.dimensions());
+  const auto d = static_cast<std::size_t>(space().dimensions());
   const NodeId bound = store_.id_bound();
   auto descriptors_fit = [d, bound](const std::vector<PeerDescriptor>& entries) {
     for (const PeerDescriptor& e : entries)
@@ -216,7 +232,7 @@ bool SelectionNode::fits_space(const Message& m) const {
     case wire::Kind::kQuery: {
       const auto& q = static_cast<const QueryMsg&>(m);
       const auto dims = static_cast<std::size_t>(q.query.dimensions());
-      return dims == d && q.level >= -1 && q.level <= space_.max_level();
+      return dims == d && q.level >= -1 && q.level <= space().max_level();
     }
     case wire::Kind::kReply: {
       const auto& matching = static_cast<const ReplyMsg&>(m).matching;
@@ -300,11 +316,11 @@ void SelectionNode::handle_query(NodeId from, const QueryMsg& qm, bool is_origin
   auto [it, inserted] = active_.emplace(qm.id, QueryState{});
   QueryState& st = it->second;
   st.msg = qm;
-  st.region = qm.query.to_region(space_);
+  st.region = qm.query.to_region(space());
   st.parent = qm.reply_to;
   st.is_origin = is_origin;
   st.done = std::move(done);
-  if (matched) st.matching.push_back(MatchRecord{id(), values_});
+  if (matched) st.matching.push_back(MatchRecord{id(), store_.point_of(id())});
 
   // Heartbeat the parent while we work on its branch (see ProgressMsg):
   // an immediate ack, then periodic keepalives until we reply.
@@ -319,20 +335,21 @@ void SelectionNode::handle_query(NodeId from, const QueryMsg& qm, bool is_origin
 
 void SelectionNode::continue_query(QueryState& st) {
   QueryMsg& q = st.msg;
-  const int d = space_.dimensions();
+  const int d = space().dimensions();
 
   const bool pure = !q.query.has_dynamic_filters();
+  const CellIndex* cell = own_cell();
   while (q.level > 0) {
     // Ascending dimension scan: required for the exactly-once invariant
     // (see the correctness sketch in the header).
     for (int k = 0; k < d; ++k) {
       const std::uint32_t bit = std::uint32_t{1} << k;
       if ((q.dims_mask & bit) == 0) continue;
-      const Region subcell = cells_.neighbor_region(coord_, q.level, k);
+      const Region subcell = cells_.neighbor_region(cell, q.level, k);
       if (!st.region.intersects(subcell)) continue;
       if (cache_.enabled() && pure) {
         if (const ResultCache::Entry* e =
-                cache_.lookup(make_fragment_key(space_, subcell, q.query))) {
+                cache_.lookup(make_fragment_key(space(), subcell, q.query))) {
           // A fresh complete fragment with exactly this (subcell, clamped
           // ranges) identity: the whole branch resolves locally.
           merge_records(st.matching, e->records);
@@ -372,7 +389,7 @@ void SelectionNode::continue_query(QueryState& st) {
     // Probe every matching cohabitant of our level-0 cell not yet known to
     // match (Fig. 5, forward lines 10-17).
     for (const CompactPeer n : rt_->zero()) {
-      if (!q.query.matches(store_.point_of(n.id))) continue;
+      if (!q.query.matches(store_.values_ptr(n.id))) continue;
       if (holds(st.matching, n.id)) continue;
       if (st.waiting.contains(n.id)) continue;
       bool failed = false;
@@ -482,8 +499,8 @@ void SelectionNode::handle_reply(NodeId from, const ReplyMsg& r) {
       // ranges resolves without messaging. (A shared root's riders cache
       // it under their own keys when it fans out.)
       const Region subcell =
-          cells_.neighbor_region(coord_, w->second.level, w->second.dim);
-      cache_.insert(make_fragment_key(space_, subcell, st.msg.query), r.matching);
+          cells_.neighbor_region(own_cell(), w->second.level, w->second.dim);
+      cache_.insert(make_fragment_key(space(), subcell, st.msg.query), r.matching);
       meter_cache();
     }
     st.waiting.erase(w);
@@ -563,7 +580,7 @@ void SelectionNode::finish(QueryState& st) {
 /// they serve any query, and finish() fans its records out.
 void SelectionNode::share(QueryState& st, int level, int k, const Region& subcell,
                           NodeId to) {
-  FragmentKey key = make_fragment_key(space_, subcell, st.msg.query);
+  FragmentKey key = make_fragment_key(space(), subcell, st.msg.query);
   st.shared_wait = true;
   for (auto& [sqid, riders] : shared_) {
     // The opener stays first: its key is what the traversal answers.
@@ -585,7 +602,7 @@ void SelectionNode::share(QueryState& st, int level, int k, const Region& subcel
   // header), so the traversal covers precisely query ∩ subcell, whatever
   // masks the riders arrived with.
   root.msg.dims_mask =
-      all_dims_mask(space_.dimensions()) & ~((std::uint32_t{1} << (k + 1)) - 1);
+      all_dims_mask(space().dimensions()) & ~((std::uint32_t{1} << (k + 1)) - 1);
   shared_[sqid].push_back(SharedRider{st.msg.id, std::move(key)});
   dispatch(root, to, Outstanding{level, k});
 }

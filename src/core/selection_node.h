@@ -102,19 +102,27 @@ class SelectionNode final : public Node {
   /// \param space attribute space; must outlive the node
   /// \param store the deployment-wide descriptor store (Grid owns it); the
   ///        node registers its own profile on start() and resolves peer
-  ///        handles against it. Must outlive the node.
+  ///        handles against it. From then on its row is the node's only
+  ///        copy of its values and cell. Must outlive the node.
   /// \param values this node's attribute values (one per dimension)
+  /// \param cfg the deployment's protocol config, shared by all its nodes
+  ///        (the layers hold its sub-configs). Must outlive the node; a
+  ///        temporary does not compile.
   /// \param bootstrap descriptors of introducer nodes (may be empty for the
   ///        first node); used to seed both gossip layers
   /// \param observer optional global measurement hook (may be nullptr)
   SelectionNode(const AttributeSpace& space, DescriptorStore& store, Point values,
-                ProtocolConfig cfg, std::vector<PeerDescriptor> bootstrap, Rng rng,
-                QueryObserver* observer = nullptr);
+                const ProtocolConfig& cfg, std::vector<PeerDescriptor> bootstrap,
+                Rng rng, QueryObserver* observer = nullptr);
+  SelectionNode(const AttributeSpace&, DescriptorStore&, Point, ProtocolConfig&&,
+                std::vector<PeerDescriptor>, Rng, QueryObserver* = nullptr) = delete;
 
   // -- resource-owner API -------------------------------------------------
 
-  const Point& values() const { return values_; }
-  const CellCoord& coord() const { return coord_; }
+  /// This node's values and level-0 cell, materialized from its store row
+  /// (before start(): from the values it will join with).
+  Point values() const;
+  CellCoord coord() const;
 
   /// Updates this node's (routed) attribute values. The node re-places
   /// itself in the cell grid and rebuilds its links; the new profile
@@ -147,11 +155,12 @@ class SelectionNode final : public Node {
   /// Open shared traversals.
   std::size_t shared_branches() const { return shared_.size(); }
 
-  /// The object plus the heap it owns: the bootstrap list (empty once
-  /// started), the routing table and gossip layers, and the query
-  /// bookkeeping tables (buckets plus one entry per in-flight or completed
-  /// query). What an in-flight query or a cached fragment holds inside its
-  /// entry is per-query state and is not counted.
+  /// The object plus the heap it owns: the join state (gone once started),
+  /// the routing table and gossip layers, the result cache, and the query
+  /// bookkeeping: one entry per in-flight or completed query, with what an
+  /// in-flight state holds (its query ranges, candidate set, outstanding
+  /// branches and failed peers) and the riders of each open shared
+  /// traversal. A completion callback's captures are not counted.
   std::size_t memory_bytes() const;
 
   // -- runtime Node -------------------------------------------------------
@@ -203,6 +212,18 @@ class SelectionNode final : public Node {
     FragmentKey key;  // the rider's own fragment (cache insert + filter)
   };
 
+  /// What the node joins with. start() moves the values into the store row
+  /// and seeds the layers from the bootstrap list, then releases both.
+  struct Joining {
+    Point values;
+    std::vector<PeerDescriptor> bootstrap;
+  };
+
+  const AttributeSpace& space() const { return cells_.space(); }
+  /// The node's own row in the store. Precondition: started.
+  const AttrValue* own_values() const { return store_.values_ptr(id()); }
+  const CellIndex* own_cell() const { return store_.coord_ptr(id()); }
+
   bool matches_self(const RangeQuery& q) const;
   bool fits_space(const Message& m) const;
   void handle_query(NodeId from, const QueryMsg& qm, bool is_origin,
@@ -229,18 +250,11 @@ class SelectionNode final : public Node {
   /// differently: it lost an entry, or a peer's stored cell moved.
   std::uint32_t routing_epoch() const { return rt_->losses() + store_.moves(); }
 
-  const AttributeSpace& space_;
   DescriptorStore& store_;
   Cells cells_;
-  Point values_;
-  CellCoord coord_;
-  // routing_epoch() at the last full refresh (it fills the padding after
-  // coord_). start() and set_values() leave it stale: a new table has not
-  // seen the views.
-  std::uint32_t routing_synced_ = 0;
+  const ProtocolConfig& cfg_;
+  std::unique_ptr<Joining> joining_;  // null once started
   AttrValues dynamic_values_;
-  ProtocolConfig cfg_;
-  std::vector<PeerDescriptor> bootstrap_;  // consumed and released by start()
   Rng rng_;
   QueryObserver* observer_;
 
@@ -262,6 +276,9 @@ class SelectionNode final : public Node {
 
   // The 32-bit fields come last, so together they leave no padding.
   std::uint32_t next_query_seq_ = 0;
+  // routing_epoch() at the last full refresh. start() and set_values()
+  // leave it stale: a new table has not seen the views.
+  std::uint32_t routing_synced_ = 0;
   // Interned in start() (the Metrics registry belongs to the runtime we
   // attach to): hot-path increments skip the string-keyed lookup.
   Metrics::Counter m_gossip_cycles_ = 0;

@@ -114,12 +114,14 @@ struct ChildProc {
     store.put(ids[i], points[i]);
   }
 
+  // Every hosted node references this one config, so it is declared before
+  // the runtime that owns the nodes and outlives them.
+  const ProtocolConfig proto = deployment_protocol(cfg);
   net::UdpRuntime::Config rc;
   rc.seed = hash_mix(cfg.seed ^ kChildStream, p);
   rc.faults = cfg.faults;
   net::UdpRuntime rt(kids[p].sock, book, rc);
 
-  const ProtocolConfig proto = deployment_protocol(cfg);
   for (NodeId id = first; id < last; ++id) {
     rt.add_node(id, std::make_unique<SelectionNode>(
                         cfg.space, store, points[id], proto,

@@ -36,6 +36,7 @@ Grid::Grid(Config cfg, PointGenerator generator)
   stats_ = std::make_unique<QueryStats>(cfg_.track_visited, cfg_.shards);
   net_ = std::make_unique<Network>(*sim_, std::move(latency));
   store_->reserve(cfg_.nodes);
+  net_->reserve(cfg_.nodes);
   if (cfg_.trace_queries) tracer_ = std::make_unique<QueryTracer>(&stats_->sink(0));
   for (std::size_t i = 0; i < cfg_.nodes; ++i) add_node();
   if (cfg_.oracle) {
@@ -131,7 +132,7 @@ std::vector<NodeId> Grid::ground_truth(const RangeQuery& q) {
   for (NodeId id : net_->alive_ids()) {
     auto* sn = net_->find_as<SelectionNode>(id);
     if (sn == nullptr) continue;
-    if (q.matches(sn->values()) && q.matches_dynamic(sn->dynamic_values()))
+    if (q.matches(store_->values_ptr(id)) && q.matches_dynamic(sn->dynamic_values()))
       out.push_back(id);
   }
   return out;

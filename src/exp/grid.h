@@ -125,6 +125,8 @@ class Grid {
   std::unique_ptr<Node> make_node(Point values, std::uint32_t shard);
   std::vector<PeerDescriptor> sample_introducers(std::size_t k);
 
+  // Every node references cfg_.protocol: declared first, it outlives the
+  // network that owns them.
   Config cfg_;
   PointGenerator generator_;
   std::unique_ptr<Simulator> sim_;

@@ -13,10 +13,10 @@ struct Scratch {
 
 }  // namespace
 
-Cyclon::Cyclon(NodeId self, DescriptorStore& store, CyclonConfig cfg, Rng& rng,
-               SendFn send)
-    : self_(self), store_(store), cfg_(cfg), rng_(rng), send_(std::move(send)),
-      view_(cfg.cache_size) {}
+Cyclon::Cyclon(NodeId self, DescriptorStore& store, const CyclonConfig& cfg,
+               Rng& rng, SendFn send)
+    : store_(store), cfg_(cfg), rng_(rng), send_(std::move(send)),
+      view_(cfg.cache_size), self_(self) {}
 
 void Cyclon::seed(const std::vector<PeerDescriptor>& contacts) {
   for (const auto& c : contacts) {

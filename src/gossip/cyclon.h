@@ -56,8 +56,10 @@ class Cyclon {
   /// \param self id of the hosting node; its profile must already be
   ///        registered in `store` (SelectionNode::start() does this before
   ///        constructing the gossip layers)
-  Cyclon(NodeId self, DescriptorStore& store, CyclonConfig cfg, Rng& rng,
+  /// \param cfg must outlive the layer (one config serves a deployment)
+  Cyclon(NodeId self, DescriptorStore& store, const CyclonConfig& cfg, Rng& rng,
          SendFn send);
+  Cyclon(NodeId, DescriptorStore&, CyclonConfig&&, Rng&, SendFn) = delete;
 
   /// Seeds the view with bootstrap contacts (e.g. the introducer node).
   void seed(const std::vector<PeerDescriptor>& contacts);
@@ -83,13 +85,13 @@ class Cyclon {
   void merge(NodeId peer, const std::vector<PeerDescriptor>& received,
              const std::vector<CompactPeer>& sent);
 
-  NodeId self_;
   DescriptorStore& store_;
-  CyclonConfig cfg_;
+  const CyclonConfig& cfg_;
   Rng& rng_;
   SendFn send_;
   View view_;
   std::vector<CompactPeer> last_sent_;  // subset sent in the ongoing shuffle
+  NodeId self_;
   NodeId shuffle_partner_ = kInvalidNode;
 };
 

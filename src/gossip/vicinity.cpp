@@ -108,11 +108,10 @@ struct Vicinity::Scratch {
   std::vector<CompactPeer> kept;    // merge() winners, swapped into view_
 };
 
-Vicinity::Vicinity(NodeId self, CellCoord self_coord, const Cells& cells,
-                   DescriptorStore& store, VicinityConfig cfg, Rng& rng,
-                   SendFn send)
-    : self_(self), self_coord_(self_coord), cells_(cells), store_(store),
-      cfg_(cfg), rng_(rng), send_(std::move(send)), view_(cfg.view_size) {}
+Vicinity::Vicinity(NodeId self, const Cells& cells, DescriptorStore& store,
+                   const VicinityConfig& cfg, Rng& rng, SendFn send)
+    : cells_(cells), store_(store), cfg_(cfg), rng_(rng), send_(std::move(send)),
+      view_(cfg.view_size), self_(self) {}
 
 void Vicinity::tick(const View& cyclon_view) {
   view_.age_all();
@@ -211,9 +210,10 @@ void Vicinity::select_into(Scratch& s, std::size_t cap,
   // N(l,k) is group 1 + (l-1)*d + k. Coordinates outside the space have no
   // slot and drop out.
   const int d = cells_.space().dimensions();
+  const CellIndex* self_coord = store_.coord_ptr(self_);
   s.group.clear();
   for (const CompactPeer p : s.unique) {
-    const auto slot = cells_.classify(self_coord_.data(), store_.coord_ptr(p.id));
+    const auto slot = cells_.classify(self_coord, store_.coord_ptr(p.id));
     if (!slot) {
       s.group.push_back(kNoGroup);
     } else {

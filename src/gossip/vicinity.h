@@ -62,10 +62,13 @@ class Vicinity {
   using SendFn = std::function<void(NodeId to, MessagePtr)>;
 
   /// \param self id of the hosting node; its profile must already be in
-  ///        `store` (SelectionNode::start() registers it first)
-  /// \param self_coord the hosting node's level-0 cell coordinates
-  Vicinity(NodeId self, CellCoord self_coord, const Cells& cells,
-           DescriptorStore& store, VicinityConfig cfg, Rng& rng, SendFn send);
+  ///        `store` (SelectionNode::start() registers it first), and its
+  ///        row is the layer's only copy of its cell
+  /// \param cfg must outlive the layer (one config serves a deployment)
+  Vicinity(NodeId self, const Cells& cells, DescriptorStore& store,
+           const VicinityConfig& cfg, Rng& rng, SendFn send);
+  Vicinity(NodeId, const Cells&, DescriptorStore&, VicinityConfig&&, Rng&,
+           SendFn) = delete;
 
   /// Seeds the view with bootstrap contacts (runs them through the
   /// selection function).
@@ -126,14 +129,13 @@ class Vicinity {
   /// it first) with the winning handles.
   void select_into(Scratch& s, std::size_t cap, std::vector<CompactPeer>& out) const;
 
-  NodeId self_;
-  CellCoord self_coord_;
   const Cells& cells_;
   DescriptorStore& store_;
-  VicinityConfig cfg_;
+  const VicinityConfig& cfg_;
   Rng& rng_;
   SendFn send_;
   View view_;
+  NodeId self_;
   bool explore_next_ = false;
 };
 

@@ -8,8 +8,10 @@ Metrics::Counter Metrics::counter(std::string_view name) {
   auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   auto id = static_cast<Counter>(slots_.size());
-  slots_.push_back(Slot{std::string(name),
-                        std::vector<std::uint64_t>(reserved_nodes_, 0)});
+  std::vector<std::uint64_t> by_node;
+  by_node.reserve(std::max(reserved_nodes_, capacity_nodes_));
+  by_node.resize(reserved_nodes_, 0);
+  slots_.push_back(Slot{std::string(name), std::move(by_node)});
   index_.emplace(std::string(name), id);
   return id;
 }
@@ -34,6 +36,27 @@ void Metrics::reserve_nodes(std::size_t n) {
   reserved_nodes_ = n;
   for (auto& s : slots_)
     if (s.by_node.size() < n) s.by_node.resize(n, 0);
+}
+
+void Metrics::reserve_capacity(std::size_t n) {
+  capacity_nodes_ = std::max(capacity_nodes_, n);
+  for (auto& s : slots_) s.by_node.reserve(n);
+}
+
+std::size_t Metrics::memory_bytes() const {
+  // A name longer than the small-string buffer owns heap storage; each is
+  // held twice, by its slot and as its index key (a tree node of three
+  // links and a color).
+  auto name_bytes = [](const std::string& s) {
+    return s.capacity() > 15 ? s.capacity() + 1 : 0;
+  };
+  std::size_t n = sizeof(*this) + slots_.capacity() * sizeof(Slot);
+  for (const Slot& s : slots_)
+    n += s.by_node.capacity() * sizeof(std::uint64_t) + name_bytes(s.name);
+  for (const auto& [name, c] : index_)
+    n += 4 * sizeof(void*) + sizeof(std::pair<const std::string, Counter>) +
+         name_bytes(name);
+  return n;
 }
 
 std::uint64_t Metrics::node_value(NodeId node, std::string_view name) const {

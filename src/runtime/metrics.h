@@ -67,6 +67,14 @@ class Metrics {
   /// so worker-phase increments are plain writes to pre-existing rows.
   void reserve_nodes(std::size_t n);
 
+  /// Sets aside room in every counter's per-node vector, those interned
+  /// later included, for node ids < n, so that joins up to n never
+  /// reallocate a row. Joins past n grow the rows as before.
+  void reserve_capacity(std::size_t n);
+
+  /// The registry plus the heap it owns: the per-node rows and the names.
+  std::size_t memory_bytes() const;
+
   /// Drops all counter values (between experiment phases). Interned
   /// handles stay valid. Coordinator-only, like every other registry
   /// mutation outside inc().
@@ -82,6 +90,7 @@ class Metrics {
 
   std::vector<Slot> slots_;
   std::size_t reserved_nodes_ = 0;
+  std::size_t capacity_nodes_ = 0;  // reserve_capacity()
   // Keys are owned copies (not views into slots_: Slot moves on vector
   // growth would dangle SSO string views). std::less<> gives heterogeneous
   // string_view lookup; interning is cold, so a tree map is fine.

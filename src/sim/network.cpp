@@ -65,6 +65,13 @@ NodeId Network::add_node(std::unique_ptr<Node> node, std::uint32_t shard) {
   return id;
 }
 
+void Network::reserve(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  alive_cache_.reserve(nodes);
+  sim_.reserve_nodes(nodes);
+  metrics().reserve_capacity(nodes);
+}
+
 void Network::remove_node(NodeId id, bool graceful) {
   Node* node = find(id);
   if (node == nullptr) return;

@@ -69,6 +69,12 @@ class Network final : public Runtime {
   /// attaches it, and calls start().
   NodeId add_node(std::unique_ptr<Node> node, std::uint32_t shard = 0);
 
+  /// Sets aside room for `nodes` joins in every per-node array (the node
+  /// table, the live-id cache, the simulator's shard and key tables, and
+  /// the metric rows), so that they are sized once instead of by doubling.
+  /// Joins past it grow them as before.
+  void reserve(std::size_t nodes);
+
   /// Removes a node. `graceful` invokes stop() first (a leave); otherwise
   /// this models a crash. In-flight messages to it are dropped on delivery.
   void remove_node(NodeId id, bool graceful);

@@ -106,6 +106,13 @@ class Simulator {
   /// start() runs (Network::add_node does).
   void set_node_shard(NodeId id, std::uint32_t shard);
 
+  /// Sets aside room for node ids < n in the per-node tables, so that joins
+  /// up to n never reallocate them. Coordinator-only.
+  void reserve_nodes(std::size_t n) {
+    node_shard_.reserve(n);
+    src_ctr_.reserve(n);
+  }
+
   /// Allocates the next event key for source node `src`:
   /// (src << 32) | counter. Growing the table is coordinator-only; drains
   /// may only allocate for already-registered ids (their own nodes).

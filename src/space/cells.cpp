@@ -20,13 +20,14 @@ Region Cells::cell_region(const CellCoord& c, int level) const {
   return Region(ivs);
 }
 
-Region Cells::neighbor_region(const CellCoord& c, int level, int dim) const {
+Region Cells::neighbor_region(const CellIndex* c, int level, int dim) const {
   assert(level >= 1 && level <= space_->max_level());
   assert(dim >= 0 && dim < space_->dimensions());
   const int half = level - 1;  // half of C_level == a C_(level-1)-scale slab
-  IntervalVec ivs(c.size());
-  for (int j = 0; j < static_cast<int>(c.size()); ++j) {
-    const CellIndex idx0 = c[static_cast<std::size_t>(j)];
+  const int d = space_->dimensions();
+  IntervalVec ivs(static_cast<std::size_t>(d));
+  for (int j = 0; j < d; ++j) {
+    const CellIndex idx0 = c[j];
     CellIndex slab;  // level-(l-1) index of the slab this dimension spans
     if (j < dim) {
       slab = at_level(idx0, half);  // X's own half

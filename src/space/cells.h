@@ -52,9 +52,14 @@ class Cells {
   /// Region (in level-0 index space) of the level-l cell containing `c`.
   Region cell_region(const CellCoord& c, int level) const;
 
-  /// Region of the neighboring subcell N(level,dim) of the node at `c`.
+  /// Region of the neighboring subcell N(level,dim) of the node at `c`, a
+  /// row of d level-0 indices as classify() takes.
   /// Precondition: 1 <= level <= max_level, 0 <= dim < d.
-  Region neighbor_region(const CellCoord& c, int level, int dim) const;
+  Region neighbor_region(const CellIndex* c, int level, int dim) const;
+  Region neighbor_region(const CellCoord& c, int level, int dim) const {
+    assert(c.size() == static_cast<std::size_t>(space_->dimensions()));
+    return neighbor_region(c.data(), level, dim);
+  }
 
   /// Classifies where `other` sits relative to `self`, both given as rows of
   /// d level-0 indices (DescriptorStore::coord_ptr, or CellCoord::data()):

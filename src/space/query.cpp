@@ -23,8 +23,12 @@ RangeQuery& RangeQuery::with_dynamic(std::size_t index, std::optional<AttrValue>
 
 bool RangeQuery::matches(const Point& p) const {
   assert(p.size() >= ranges_.size());
+  return matches(p.data());
+}
+
+bool RangeQuery::matches(const AttrValue* row) const {
   for (std::size_t d = 0; d < ranges_.size(); ++d)
-    if (!ranges_[d].contains(p[d])) return false;
+    if (!ranges_[d].contains(row[d])) return false;
   return true;
 }
 

@@ -65,11 +65,21 @@ class RangeQuery {
   /// Exact match of the routed ranges against a point.
   bool matches(const Point& p) const;
 
+  /// As above, against a row of dimensions() values in place
+  /// (DescriptorStore::values_ptr, or Point::data()).
+  bool matches(const AttrValue* row) const;
+
   /// Match of the dynamic filters against a node's dynamic attribute vector.
   /// Filters referencing indices beyond the vector fail the match.
   bool matches_dynamic(const AttrValues& dynamic_values) const;
 
   bool has_dynamic_filters() const { return !dynamic_filters_.empty(); }
+
+  /// Heap bytes the ranges and filters hold.
+  std::size_t memory_bytes() const {
+    return ranges_.capacity() * sizeof(AttrRange) +
+           dynamic_filters_.capacity() * sizeof(DynamicFilter);
+  }
   const std::vector<DynamicFilter>& dynamic_filters() const { return dynamic_filters_; }
 
   /// Level-0 index-space region covered by the routed ranges. Conservative-

@@ -85,11 +85,11 @@ TEST(NodeMemory, HostileGossipIdOnTheSimNetworkChangesNothing) {
   // rows from growing the store.
   const auto space = AttributeSpace::uniform(2, 3, 0, 80);
   DescriptorStore store(space);
+  ProtocolConfig cfg;  // outlives the network that owns the node
+  cfg.gossip_enabled = false;
   Simulator sim(1);
   Network net(sim, std::make_unique<ConstantLatency>(10));
   const NodeId peer = net.add_node(std::make_unique<CountingNode>());
-  ProtocolConfig cfg;
-  cfg.gossip_enabled = false;
   const NodeId a = net.add_node(std::make_unique<SelectionNode>(
       space, store, Point{5, 5}, cfg, std::vector<PeerDescriptor>{}, Rng(1)));
   const SelectionNode& node = *net.find_as<SelectionNode>(a);

@@ -17,10 +17,13 @@ namespace {
 class ProtocolMessagesTest : public ::testing::Test {
  protected:
   ProtocolMessagesTest()
-      : space(AttributeSpace::uniform(2, 3, 0, 80)), store(space), net(7) {}
-
-  NodeId add_node(Point values, ProtocolConfig cfg = {}) {
+      : space(AttributeSpace::uniform(2, 3, 0, 80)), store(space), net(7) {
     cfg.gossip_enabled = false;
+  }
+
+  /// Every node references the fixture's one config: a test sets it up
+  /// before its first SelectionNode joins and leaves it alone after.
+  NodeId add_node(Point values) {
     return net.add_node(std::make_unique<SelectionNode>(
         space, store, std::move(values), cfg, std::vector<PeerDescriptor>{}, Rng(1)));
   }
@@ -45,6 +48,7 @@ class ProtocolMessagesTest : public ::testing::Test {
 
   AttributeSpace space;
   DescriptorStore store;
+  ProtocolConfig cfg;  // outlives the runtime that owns the nodes
   LoopbackRuntime net;
 };
 
@@ -139,12 +143,11 @@ TEST_F(ProtocolMessagesTest, UnknownProgressIgnored) {
 TEST_F(ProtocolMessagesTest, KeepalivesFlowWhileBranchActive) {
   // Parent forwards to child; child has a stuck sub-branch (link to a dead
   // node), so it stays active and must heartbeat the parent.
-  ProtocolConfig cfg;
   cfg.query_timeout = 4 * kSecond;
   cfg.retry_alternates = false;
   NodeId parent_sink = net.add_node(std::make_unique<SinkNode>());
-  NodeId child = add_node({5, 5}, cfg);
-  NodeId dead = add_node({75, 75}, cfg);  // gives child a slot link, then dies
+  NodeId child = add_node({5, 5});
+  NodeId dead = add_node({75, 75});  // gives child a slot link, then dies
   node(child).routing().offer(node(dead).descriptor());
   net.remove_node(dead, false);
 
@@ -163,14 +166,13 @@ TEST_F(ProtocolMessagesTest, KeepalivesFlowWhileBranchActive) {
 TEST_F(ProtocolMessagesTest, ProgressRefreshesParentDeadline) {
   // A (origin) forwards to B; B's subtree takes ~3 timeouts' worth of time
   // because of its own dead link chain, but A must NOT declare B failed.
-  ProtocolConfig cfg;
   cfg.query_timeout = 3 * kSecond;
   cfg.retry_alternates = false;
 
-  NodeId a = add_node({5, 5}, cfg);
-  NodeId b = add_node({75, 5}, cfg);  // in N(3,0)(a)
-  NodeId dead1 = add_node({45, 5}, cfg);   // in N(2,0)(b)
-  NodeId dead2 = add_node({75, 75}, cfg);  // in N(3,1)(b)
+  NodeId a = add_node({5, 5});
+  NodeId b = add_node({75, 5});        // in N(3,0)(a)
+  NodeId dead1 = add_node({45, 5});    // in N(2,0)(b)
+  NodeId dead2 = add_node({75, 75});   // in N(3,1)(b)
   // a links b; b links two dead nodes in different subcells.
   node(a).routing().offer(node(b).descriptor());
   node(b).routing().offer(node(dead1).descriptor());

@@ -154,5 +154,46 @@ TEST(ResultCache, AgeTickDropsPastHorizonButLookupDoesNotRefreshAge) {
   EXPECT_EQ(cache.lookup(key_at(space, 1)), nullptr);
 }
 
+TEST(ResultCache, MemoryBytesCountEntriesAndTheirRecords) {
+  // The bytes grow by exactly what an insert adds (one entry's nodes plus
+  // its records) and return to the empty figure once eviction and aging
+  // have dropped every entry. An index never gives back its bucket array,
+  // so "empty" is read after one fill to capacity.
+  auto space = test_space();
+  ResultCache cache(2, 1);
+  auto records = [](std::size_t n) {
+    std::vector<MatchRecord> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back(rec(static_cast<NodeId>(i + 1)));
+    return v;
+  };
+  auto drain = [&cache] {
+    cache.age_tick();
+    cache.age_tick();  // past the horizon of 1
+  };
+  cache.insert(key_at(space, 1), {});
+  cache.insert(key_at(space, 2), {});
+  drain();
+  ASSERT_EQ(cache.size(), 0u);
+  const std::size_t empty = cache.memory_bytes();
+  EXPECT_GE(empty, sizeof(ResultCache));
+
+  cache.insert(key_at(space, 1), {});
+  const std::size_t entry = cache.memory_bytes() - empty;  // no records
+  EXPECT_GT(entry, sizeof(ResultCache::Entry));
+  cache.insert(key_at(space, 2), records(3));
+  EXPECT_EQ(cache.memory_bytes(), empty + 2 * entry + 3 * sizeof(MatchRecord));
+  // Capacity pressure evicts key 1: its entry goes as the newcomer's comes.
+  cache.insert(key_at(space, 3), records(5));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.memory_bytes(), empty + 2 * entry + 8 * sizeof(MatchRecord));
+  // A replaced fragment counts its new records only.
+  cache.insert(key_at(space, 3), records(1));
+  EXPECT_EQ(cache.memory_bytes(), empty + 2 * entry + 4 * sizeof(MatchRecord));
+  drain();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.memory_bytes(), empty);
+}
+
 }  // namespace
 }  // namespace ares

@@ -138,7 +138,6 @@ class RoutingRefresh : public ::testing::Test {
       ++frames;
       if (!at_fixed_point(n)) ++off_fixed_point;
     };
-    ProtocolConfig cfg;
     cfg.query_timeout = 1 * kSecond;
     for (std::uint64_t i = 0; i < 150; ++i) {
       std::vector<PeerDescriptor> boot;
@@ -159,6 +158,7 @@ class RoutingRefresh : public ::testing::Test {
 
   AttributeSpace space;
   DescriptorStore store;
+  ProtocolConfig cfg;  // shared by every node; outlives the runtime
   FrameCheckRuntime net;
   Rng gen{17};
   std::size_t frames = 0;

@@ -17,10 +17,16 @@ class RoutingTableTest : public ::testing::Test {
         store(space),
         self(PeerDescriptor{1, {5, 5}}),
         self_coord(space.coord_of(self.values)),
-        rt(cells, self_coord, self.id, RoutingConfig{}, store) {}
+        rt(cells, registered(store, self), cfg, store) {}
 
   PeerDescriptor make(NodeId id, AttrValue x, AttrValue y, std::uint32_t age = 0) {
     return PeerDescriptor{id, {x, y}, age};
+  }
+
+  /// Registers the owner's row, which the table reads its own cell from.
+  static NodeId registered(DescriptorStore& store, const PeerDescriptor& d) {
+    store.put(d.id, d.values);
+    return d.id;
   }
 
   AttributeSpace space;
@@ -28,6 +34,7 @@ class RoutingTableTest : public ::testing::Test {
   DescriptorStore store;
   PeerDescriptor self;
   CellCoord self_coord;
+  const RoutingConfig cfg{};
   RoutingTable rt;
 };
 
@@ -110,9 +117,9 @@ TEST_F(RoutingTableTest, LinkCountsDedupe) {
 }
 
 TEST_F(RoutingTableTest, ZeroCapacityCap) {
-  RoutingConfig cfg;
-  cfg.zero_capacity = 2;
-  RoutingTable capped(cells, self_coord, self.id, cfg, store);
+  RoutingConfig capped_cfg;
+  capped_cfg.zero_capacity = 2;
+  RoutingTable capped(cells, self.id, capped_cfg, store);
   capped.offer(make(2, 6, 6, 3));
   capped.offer(make(3, 6, 7, 1));
   capped.offer(make(4, 7, 6, 2));
@@ -165,15 +172,15 @@ TEST_F(RoutingTableTest, AllSlotsAddressable) {
 /// SelectionNodes (full protocol stack, gossip on) discover each other and
 /// install the N(l,k) links — no Simulator/Network pair involved.
 TEST_F(RoutingTableTest, GossipOverLoopbackPopulatesSlots) {
+  const ProtocolConfig proto{};  // gossip on, 10 s period; outlives the nodes
   LoopbackRuntime loop(11);
   Rng seeder(5);
-  ProtocolConfig cfg;  // gossip on, 10 s period
 
   NodeId a = loop.add_node(std::make_unique<SelectionNode>(
-      space, store, Point{5, 5}, cfg, std::vector<PeerDescriptor>{}, seeder.fork()));
+      space, store, Point{5, 5}, proto, std::vector<PeerDescriptor>{}, seeder.fork()));
   // B lands in the opposite half along dimension 0 => slot N(3,0) of A.
   NodeId b = loop.add_node(std::make_unique<SelectionNode>(
-      space, store, Point{75, 5}, cfg,
+      space, store, Point{75, 5}, proto,
       std::vector<PeerDescriptor>{PeerDescriptor{a, {5, 5}}},
       seeder.fork()));
 
@@ -193,16 +200,16 @@ TEST_F(RoutingTableTest, GossipOverLoopbackPopulatesSlots) {
 /// Aging keeps running on the loopback runtime: once the partner crashes,
 /// its entry must wash out of the routing table within rt_max_age cycles.
 TEST_F(RoutingTableTest, DeadPeerAgesOutOverLoopback) {
+  ProtocolConfig proto;  // outlives the nodes
+  proto.rt_max_age = 5;
+  proto.vicinity.max_age = 5;
   LoopbackRuntime loop(13);
   Rng seeder(5);
-  ProtocolConfig cfg;
-  cfg.rt_max_age = 5;
-  cfg.vicinity.max_age = 5;
 
   NodeId a = loop.add_node(std::make_unique<SelectionNode>(
-      space, store, Point{5, 5}, cfg, std::vector<PeerDescriptor>{}, seeder.fork()));
+      space, store, Point{5, 5}, proto, std::vector<PeerDescriptor>{}, seeder.fork()));
   NodeId b = loop.add_node(std::make_unique<SelectionNode>(
-      space, store, Point{75, 5}, cfg,
+      space, store, Point{75, 5}, proto,
       std::vector<PeerDescriptor>{PeerDescriptor{a, {5, 5}}},
       seeder.fork()));
   loop.run_until(60 * kSecond);

@@ -13,16 +13,18 @@ namespace ares {
 namespace {
 
 /// One shared 1-d space/store per test: hosts register peers on receipt
-/// exactly as SelectionNode does against the Grid-wide store.
+/// exactly as SelectionNode does against the Grid-wide store. Every layer
+/// references the one config, as a deployment's nodes share theirs.
 struct StoreFixture {
   AttributeSpace space = AttributeSpace::uniform(1, 1, 0, 100);
   DescriptorStore store{space};
+  const CyclonConfig cfg{};
 };
 
 /// Minimal runtime node hosting only the CYCLON layer.
 class CyclonHost final : public Node {
  public:
-  CyclonHost(DescriptorStore& store, CyclonConfig cfg, Rng rng,
+  CyclonHost(DescriptorStore& store, const CyclonConfig& cfg, Rng rng,
              std::vector<PeerDescriptor> bootstrap)
       : store_(store), cfg_(cfg), rng_(rng), bootstrap_(std::move(bootstrap)) {}
 
@@ -49,7 +51,7 @@ class CyclonHost final : public Node {
   }
 
   DescriptorStore& store_;
-  CyclonConfig cfg_;
+  const CyclonConfig& cfg_;
   Rng rng_;
   std::vector<PeerDescriptor> bootstrap_;
   std::unique_ptr<Cyclon> cyclon_;
@@ -62,7 +64,7 @@ class CyclonLoopbackTest : public ::testing::Test, protected StoreFixture {
   CyclonLoopbackTest() : net(42) {}
 
   /// Builds a line topology: node i bootstraps knowing node i-1 only.
-  void build(std::size_t n, CyclonConfig cfg = {}) {
+  void build(std::size_t n) {
     Rng seeder(7);
     std::vector<PeerDescriptor> prev;
     for (std::size_t i = 0; i < n; ++i) {
@@ -166,7 +168,7 @@ TEST(CyclonUnit, SeedSkipsSelf) {
   std::vector<MessagePtr> outbox;
   StoreFixture f;
   f.store.put(3, Point{0});
-  Cyclon c(3, f.store, CyclonConfig{}, rng,
+  Cyclon c(3, f.store, f.cfg, rng,
            [&](NodeId, MessagePtr m) { outbox.push_back(std::move(m)); });
   c.seed({PeerDescriptor{3, {0}, 0}, PeerDescriptor{4, {0}, 0}});
   EXPECT_FALSE(c.view().contains(3));
@@ -178,7 +180,7 @@ TEST(CyclonUnit, TickRemovesTargetAndSendsRequest) {
   std::vector<std::pair<NodeId, MessagePtr>> outbox;
   StoreFixture f;
   f.store.put(1, Point{0});
-  Cyclon c(1, f.store, CyclonConfig{}, rng,
+  Cyclon c(1, f.store, f.cfg, rng,
            [&](NodeId to, MessagePtr m) { outbox.emplace_back(to, std::move(m)); });
   c.seed({PeerDescriptor{2, {0}, 5}, PeerDescriptor{3, {0}, 1}});
   c.tick();
@@ -200,7 +202,7 @@ TEST(CyclonUnit, EmptyViewTickIsNoop) {
   int sends = 0;
   StoreFixture f;
   f.store.put(1, Point{0});
-  Cyclon c(1, f.store, CyclonConfig{}, rng,
+  Cyclon c(1, f.store, f.cfg, rng,
            [&](NodeId, MessagePtr) { ++sends; });
   c.tick();
   EXPECT_EQ(sends, 0);
@@ -211,7 +213,7 @@ TEST(CyclonUnit, HandleRequestSendsReplyAndMerges) {
   std::vector<std::pair<NodeId, MessagePtr>> outbox;
   StoreFixture f;
   f.store.put(1, Point{0});
-  Cyclon c(1, f.store, CyclonConfig{}, rng,
+  Cyclon c(1, f.store, f.cfg, rng,
            [&](NodeId to, MessagePtr m) { outbox.emplace_back(to, std::move(m)); });
   c.seed({PeerDescriptor{5, {0}, 0}});
   CyclonShuffleMsg req;
@@ -231,7 +233,7 @@ TEST(CyclonUnit, IgnoresForeignMessages) {
   Rng rng(1);
   StoreFixture f;
   f.store.put(1, Point{0});
-  Cyclon c(1, f.store, CyclonConfig{}, rng,
+  Cyclon c(1, f.store, f.cfg, rng,
            [&](NodeId, MessagePtr) {});
   struct Other final : Message {
     const char* type_name() const override { return "other"; }

@@ -32,17 +32,17 @@ class VicinityUnit : public ::testing::Test {
     return CompactPeer{d.id, d.age};
   }
 
-  Vicinity make_vicinity(const PeerDescriptor& self, VicinityConfig cfg = {}) {
+  Vicinity make_vicinity(const PeerDescriptor& self) {
     store.put(self.id, self.values);
-    return Vicinity(self.id, space.coord_of(self.values), cells, store, cfg, rng,
-                    [this](NodeId to, MessagePtr m) {
-                      outbox.emplace_back(to, std::move(m));
-                    });
+    return Vicinity(self.id, cells, store, cfg, rng, [this](NodeId to, MessagePtr m) {
+      outbox.emplace_back(to, std::move(m));
+    });
   }
 
   AttributeSpace space;
   Cells cells;
   DescriptorStore store;
+  const VicinityConfig cfg{};  // every layer in a test shares it
   Rng rng;
   std::vector<std::pair<NodeId, MessagePtr>> outbox;
 };
@@ -180,12 +180,11 @@ TEST_F(VicinityUnit, TickUsesCyclonForExploration) {
 /// underlay: exchanges are driven purely by the vicinity view itself).
 class VicinityHost final : public Node {
  public:
-  VicinityHost(const AttributeSpace& space, const Cells& cells,
-               DescriptorStore& store, Point values, Rng rng,
-               std::vector<PeerDescriptor> bootstrap)
-      : space_(space),
-        cells_(cells),
+  VicinityHost(const Cells& cells, DescriptorStore& store, const VicinityConfig& cfg,
+               Point values, Rng rng, std::vector<PeerDescriptor> bootstrap)
+      : cells_(cells),
         store_(store),
+        cfg_(cfg),
         values_(std::move(values)),
         rng_(rng),
         bootstrap_(std::move(bootstrap)),
@@ -194,7 +193,7 @@ class VicinityHost final : public Node {
   void start() override {
     store_.put(id(), values_);
     vicinity_ = std::make_unique<Vicinity>(
-        id(), space_.coord_of(values_), cells_, store_, VicinityConfig{}, rng_,
+        id(), cells_, store_, cfg_, rng_,
         [this](NodeId to, MessagePtr m) { send(to, std::move(m)); });
     vicinity_->seed(bootstrap_, cyclon_view_);
     after(static_cast<SimTime>(rng_.below(10 * kSecond)), [this] { tick(); });
@@ -212,9 +211,9 @@ class VicinityHost final : public Node {
     after(10 * kSecond, [this] { tick(); });
   }
 
-  const AttributeSpace& space_;
   const Cells& cells_;
   DescriptorStore& store_;
+  const VicinityConfig& cfg_;
   Point values_;
   Rng rng_;
   std::vector<PeerDescriptor> bootstrap_;
@@ -229,12 +228,12 @@ TEST_F(VicinityUnit, LoopbackExchangePropagatesDescriptorsTransitively) {
   Rng seeder(3);
   // C knows nobody; B bootstraps knowing C; A bootstraps knowing B.
   NodeId c = rt.add_node(std::make_unique<VicinityHost>(
-      space, cells, store, Point{40, 40}, seeder.fork(), std::vector<PeerDescriptor>{}));
+      cells, store, cfg, Point{40, 40}, seeder.fork(), std::vector<PeerDescriptor>{}));
   NodeId b = rt.add_node(std::make_unique<VicinityHost>(
-      space, cells, store, Point{75, 75}, seeder.fork(),
+      cells, store, cfg, Point{75, 75}, seeder.fork(),
       std::vector<PeerDescriptor>{PeerDescriptor{c, {40, 40}}}));
   NodeId a = rt.add_node(std::make_unique<VicinityHost>(
-      space, cells, store, Point{5, 5}, seeder.fork(),
+      cells, store, cfg, Point{5, 5}, seeder.fork(),
       std::vector<PeerDescriptor>{PeerDescriptor{b, {75, 75}}}));
 
   rt.run_until(300 * kSecond);  // ~30 gossip cycles
@@ -405,7 +404,7 @@ TEST(VicinitySelectionOrder, SelectionMatchesSortBasedReference) {
         for (NodeId id = 0; id < kIds; ++id) store.put(id, random_point(id));
         const CellCoord self_coord = store.coord_of(kSelf);
         Rng unused(1);
-        Vicinity v(kSelf, self_coord, cells, store, cfg, unused, drop);
+        Vicinity v(kSelf, cells, store, cfg, unused, drop);
         const ReferenceSelection ref{cells, store, kSelf, self_coord, kMaxAge};
 
         const auto cands = candidates(rng.below(60));

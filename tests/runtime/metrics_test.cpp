@@ -47,5 +47,22 @@ TEST(Metrics, CounterNamesSortedAndClearable) {
   EXPECT_EQ(m.total("a.counter"), 0u);
 }
 
+TEST(Metrics, ReservedRowsAreSizedOnceAndCounted) {
+  // Joins up to the reservation never regrow a row, counters interned after
+  // it included; the bytes count the rows' storage, not their fill.
+  Metrics m;
+  m.counter("a.counter");
+  m.reserve_capacity(1000);
+  const Metrics::Counter b = m.counter("b.counter");
+  const std::size_t reserved = m.memory_bytes();
+  EXPECT_GE(reserved, 2 * 1000 * sizeof(std::uint64_t));
+  for (std::size_t n = 1; n <= 1000; ++n) m.reserve_nodes(n);  // one join each
+  m.inc(999, b);
+  EXPECT_EQ(m.memory_bytes(), reserved);
+  m.reserve_nodes(1001);  // past the reservation: rows grow as before
+  EXPECT_GT(m.memory_bytes(), reserved);
+  EXPECT_EQ(m.node_value(999, "b.counter"), 1u);
+}
+
 }  // namespace
 }  // namespace ares

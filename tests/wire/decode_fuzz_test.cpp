@@ -338,9 +338,9 @@ TEST(DeltaDecodeFuzz, CleanFramesNamingIdsPastTheStoreAreDroppedByTheNode) {
   // one whole, meter it, and leave the store as it was.
   const auto space = AttributeSpace::uniform(5, 3, 0, 80);
   DescriptorStore store(space);
-  LoopbackRuntime net;
-  ProtocolConfig cfg;
+  ProtocolConfig cfg;  // outlives the runtime that owns the node
   cfg.gossip_enabled = false;
+  LoopbackRuntime net;
   for (NodeId id = 1; id <= 8; ++id) store.put(id, Point(5, 10 * id));  // peers' rows
   const NodeId a = net.add_node(std::make_unique<SelectionNode>(  // id 0
       space, store, Point(5, 40), cfg, std::vector<PeerDescriptor>{}, Rng(1)));
@@ -407,9 +407,9 @@ TEST(ReplyDecodeFuzz, MalformedRecordBodiesAreDroppedAndMetered) {
   ASSERT_GE(fd, 0);
   net::AddressBook book;
   book.set(0, {0x7F000001, net::local_port(fd)});
-  net::UdpRuntime rt(fd, book, {});
-  ProtocolConfig cfg;
+  ProtocolConfig cfg;  // outlives the runtime that owns the node
   cfg.gossip_enabled = false;
+  net::UdpRuntime rt(fd, book, {});
   rt.add_node(0, std::make_unique<SelectionNode>(space, store, store.point_of(0), cfg,
                                                  std::vector<PeerDescriptor>{}, Rng(1)));
   auto inject = [&rt](const std::vector<std::uint8_t>& frame) {
