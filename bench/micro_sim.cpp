@@ -142,26 +142,25 @@ struct PingMsg final : Message {
 
 // Codec because the sim sizes every send through it (traffic accounting
 // counts the frame length). The body mirrors the seed's nominal 16-byte
-// ping: 15 bytes of padding after the 1-byte kind tag. Sizing reads
-// size_body, which never touches the heap, so the zero-alloc gate holds.
+// ping: 15 bytes of padding after the 1-byte kind tag. Sizing runs the put
+// into a Sizer, which never touches the heap, so the zero-alloc gate holds.
 const bool kPingCodec = [] {
   wire::register_codec(
       kPingKind,
-      {[](const Message&, wire::Writer& w) {
-         w.u64(0);
-         w.u32(0);
-         w.u16(0);
-         w.u8(0);
-       },
-       [](wire::Reader& r, wire::Kind) -> MessagePtr {
-         (void)r.u64();
-         (void)r.u32();
-         (void)r.u16();
-         (void)r.u8();
-         if (!r.ok()) return nullptr;
-         return std::make_unique<PingMsg>();
-       },
-       [](const Message&) -> std::size_t { return 15; }});
+      [](const Message&, auto& w) {
+        w.u64(0);
+        w.u32(0);
+        w.u16(0);
+        w.u8(0);
+      },
+      [](wire::Reader& r, wire::Kind) -> MessagePtr {
+        (void)r.u64();
+        (void)r.u32();
+        (void)r.u16();
+        (void)r.u8();
+        if (!r.ok()) return nullptr;
+        return std::make_unique<PingMsg>();
+      });
   return true;
 }();
 

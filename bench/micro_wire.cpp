@@ -1,10 +1,13 @@
-/// Codec microbenchmarks: encode/decode throughput for every wire::Kind.
+/// Codec microbenchmarks: encode, decode and size throughput for every
+/// wire::Kind.
 ///
 /// Each kind is measured on a representative steady-state message (gossip
-/// exchanges carry 8 descriptors at d=5, queries carry 5 ranges, ...);
-/// BENCH_micro_wire.json records msgs/sec and MB/sec per direction so the
-/// codec's perf trajectory is tracked across PRs alongside the simulator
-/// micro numbers (BENCH_micro_sim.json).
+/// exchanges carry 8 descriptors at d=5, queries carry 5 ranges, ...), and
+/// a 1,000-record reply stands for the long answers of unbounded queries.
+/// The size direction is wire::encoded_size(), the per-send accounting
+/// path of the simulator. BENCH_micro_wire.json records msgs/sec per
+/// direction (MB/sec for encode and decode) so the codec's perf trajectory
+/// is tracked alongside the simulator micro numbers (BENCH_micro_sim.json).
 ///
 /// ARES_WIRE_OPS scales the per-kind iteration count (default 200,000).
 
@@ -65,11 +68,12 @@ std::vector<MessagePtr> representative_messages() {
   q->query = bench_query();
   out.push_back(std::move(q));
 
-  auto r = std::make_unique<ReplyMsg>();
-  r->id = 99;
-  for (NodeId i = 1; i <= 10; ++i)
-    r->matching.push_back({i, {1, 2, 3, 4, 5}});
-  out.push_back(std::move(r));
+  for (NodeId records : {10, 1000}) {
+    auto r = std::make_unique<ReplyMsg>();
+    r->id = 99;
+    for (NodeId i = 1; i <= records; ++i) r->matching.push_back({i, {1, 2, 3, 4, 5}});
+    out.push_back(std::move(r));
+  }
 
   auto p = std::make_unique<ProgressMsg>();
   p->id = 0x1122334455667788ULL;
@@ -130,11 +134,12 @@ int main() {
   exp::BenchReport report("micro_wire");
   report.set_threads(1);
 
-  exp::Table t({"kind", "type", "frame B", "enc Mmsg/s", "enc MB/s",
-                "dec Mmsg/s", "dec MB/s"});
+  exp::Table t({"kind", "type", "frame B", "enc Mmsg/s", "enc MB/s", "dec Mmsg/s",
+                "dec MB/s", "size ns/msg"});
 
+  const std::vector<MessagePtr> messages = representative_messages();
   double total_enc_mb = 0, total_dec_mb = 0;
-  for (const MessagePtr& m : representative_messages()) {
+  for (const MessagePtr& m : messages) {
     const auto bytes = wire::encode(*m);
     if (bytes.empty()) {
       std::cerr << "FAIL: no codec for " << m->type_name() << "\n";
@@ -163,11 +168,18 @@ int main() {
       sink += static_cast<std::uint64_t>(out->wire_size());
     }
     const double dec_s = seconds_since(d0);
+
+    // Size direction: the frame length without encoding, as every
+    // simulator send meters it (the message's cached size is bypassed).
+    const auto s0 = Clock::now();
+    for (std::uint64_t i = 0; i < ops; ++i) sink += wire::encoded_size(*m);
+    const double size_s = seconds_since(s0);
     if (sink == 0) std::cerr << "";  // keep the checksum alive
 
     const double frame = static_cast<double>(bytes.size());
     const double enc_msgs = static_cast<double>(ops) / enc_s;
     const double dec_msgs = static_cast<double>(ops) / dec_s;
+    const double size_msgs = static_cast<double>(ops) / size_s;
     const double enc_mb = enc_msgs * frame / 1e6;
     const double dec_mb = dec_msgs * frame / 1e6;
     total_enc_mb += enc_mb;
@@ -176,7 +188,7 @@ int main() {
     const int kind = static_cast<int>(m->kind());
     t.row({std::to_string(kind), m->type_name(), std::to_string(bytes.size()),
            exp::fmt(enc_msgs / 1e6), exp::fmt(enc_mb), exp::fmt(dec_msgs / 1e6),
-           exp::fmt(dec_mb)});
+           exp::fmt(dec_mb), exp::fmt(1e9 / size_msgs)});
     report.point()
         .num("kind", static_cast<std::uint64_t>(kind))
         .str("type", m->type_name())
@@ -184,17 +196,19 @@ int main() {
         .num("encode_msgs_per_sec", enc_msgs)
         .num("encode_mb_per_sec", enc_mb)
         .num("decode_msgs_per_sec", dec_msgs)
-        .num("decode_mb_per_sec", dec_mb);
+        .num("decode_mb_per_sec", dec_mb)
+        .num("size_msgs_per_sec", size_msgs);
   }
   t.print();
 
   // events_per_sec falls back to this codec op rate (no simulator runs here).
-  report.add_ops(2 * ops * representative_messages().size());
+  const auto count = static_cast<double>(messages.size());
+  report.add_ops(3 * ops * messages.size());
   report.summary()
-      .num("kinds", static_cast<std::uint64_t>(representative_messages().size()))
+      .num("messages", static_cast<std::uint64_t>(messages.size()))
       .num("ops_per_direction", ops)
-      .num("mean_encode_mb_per_sec", total_enc_mb / 14.0)
-      .num("mean_decode_mb_per_sec", total_dec_mb / 14.0);
+      .num("mean_encode_mb_per_sec", total_enc_mb / count)
+      .num("mean_decode_mb_per_sec", total_dec_mb / count);
   report.write();
   return 0;
 }

@@ -10,8 +10,8 @@
 ///
 /// wire_size() is deliberately NON-virtual: the serialized size of a message
 /// is whatever the codec produces, not something each message type estimates
-/// by hand. The first call encodes the message through its codec in counting
-/// mode (no allocation) and caches the length; experiments therefore account
+/// by hand. The first call runs the codec's one put into a counting Sizer
+/// (no allocation) and caches the length; experiments therefore account
 /// traffic with the exact bytes a socket transport would move (e.g. the
 /// 2,560 B/node/cycle gossip cost in paper §6).
 ///

@@ -17,7 +17,7 @@ void ensure_builtins() {
 
 }  // namespace
 
-void register_codec(Kind kind, const Codec& codec) {
+void detail::install_codec(Kind kind, const Codec& codec) {
   g_registry[static_cast<std::uint8_t>(kind)] = codec;
 }
 
@@ -43,12 +43,7 @@ std::vector<std::uint8_t> encode(const Message& m) {
 
 std::size_t encoded_size(const Message& m) {
   const Codec* c = find_codec(m.kind());
-  if (c == nullptr) return 0;
-  if (c->size_body != nullptr) return 1 + c->size_body(m);
-  Writer w = Writer::sizer();
-  w.u8(static_cast<std::uint8_t>(m.kind()));
-  c->encode_body(m, w);
-  return w.size();
+  return c == nullptr ? 0 : 1 + c->count_body(m);
 }
 
 MessagePtr decode(const std::uint8_t* data, std::size_t len) {

@@ -24,76 +24,61 @@
 /// are dropped and bump the per-node "wire.encode_fail" (sender) or
 /// "wire.decode_fail" (receiver) metric instead of crashing.
 ///
+/// Each codec lays its body out once, in a put generic over its sink: the
+/// same put encodes (Writer) and sizes (Sizer) a frame, so traffic
+/// accounting counts exactly the bytes a socket transport moves.
+///
 /// The four gossip kinds (CYCLON/Vicinity request+reply) carry their
 /// descriptor lists delta-coded against the first entry; the paper's plain
-/// descriptor-list layout survives only as a closed-form size, so the §6
-/// budget can still be reported next to the bytes actually sent
-/// (paper_layout_savings()). See docs/PROTOCOL.md §"Descriptor-list encoding".
+/// descriptor-list layout is never sent, only counted (the descriptor put
+/// into a Sizer plus the cell coordinates), so the §6 budget can still be
+/// reported next to the bytes actually sent (paper_layout_savings()). See
+/// docs/PROTOCOL.md §"Descriptor-list encoding".
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/message.h"
 
 namespace ares::wire {
 
-class Writer {
+/// Encodes a frame through little-endian fixed-width and varint
+/// primitives. A Writer appends the bytes to a vector; a Sizer stores none
+/// and only counts them, chosen at compile time by `kStore`. A codec's put
+/// is written once, generic over the two (register_codec()), so a frame's
+/// size is the length of its bytes by construction, and sizing, which backs
+/// the per-send traffic accounting, neither allocates nor tests a flag.
+template <bool kStore>
+class BasicWriter {
  public:
-  Writer() = default;
-
-  /// A counting writer: tracks the encoded size without storing (or heap-
-  /// allocating) any bytes. This is what Message::wire_size() encodes into,
-  /// keeping traffic accounting allocation-free on the send hot path.
-  static Writer sizer() {
-    Writer w;
-    w.count_only_ = true;
-    return w;
-  }
-
-  /// Encoded bytes so far (always empty for a counting writer).
+  /// Encoded bytes so far (Writer only).
   const std::vector<std::uint8_t>& bytes() const { return out_; }
   std::vector<std::uint8_t> take() { return std::move(out_); }
 
-  /// Number of bytes encoded (counted even in counting mode).
-  std::size_t size() const { return n_; }
-
-  // Each primitive takes the counting branch once, not per byte: sizing is
-  // the per-send hot path (Message::wire_size() backs traffic accounting),
-  // so a u64 must cost one add, not eight branch-y byte appends.
+  /// Number of bytes encoded.
+  std::size_t size() const {
+    if constexpr (kStore)
+      return out_.size();
+    else
+      return out_;
+  }
 
   void u8(std::uint8_t v) {
-    ++n_;
-    if (!count_only_) out_.push_back(v);
+    if constexpr (kStore)
+      out_.push_back(v);
+    else
+      ++out_;
   }
 
-  void u16(std::uint16_t v) {
-    n_ += 2;
-    if (count_only_) return;
-    const std::uint8_t b[2] = {static_cast<std::uint8_t>(v),
-                               static_cast<std::uint8_t>(v >> 8)};
-    out_.insert(out_.end(), b, b + 2);
-  }
-
-  void u32(std::uint32_t v) {
-    n_ += 4;
-    if (count_only_) return;
-    const std::uint8_t b[4] = {
-        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-    out_.insert(out_.end(), b, b + 4);
-  }
-
-  void u64(std::uint64_t v) {
-    n_ += 8;
-    if (count_only_) return;
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    out_.insert(out_.end(), b, b + 8);
-  }
+  void u16(std::uint16_t v) { fixed(v, 2); }
+  void u32(std::uint32_t v) { fixed(v, 4); }
+  void u64(std::uint64_t v) { fixed(v, 8); }
 
   /// IEEE-754 double, little-endian bit pattern.
   void f64(double v) {
@@ -104,18 +89,18 @@ class Writer {
 
   /// Unsigned LEB128 (7 bits per byte, high bit = continuation).
   void varint(std::uint64_t v) {
-    if (count_only_) {
-      do {
-        ++n_;
+    if constexpr (kStore) {
+      while (v >= 0x80) {
+        u8(static_cast<std::uint8_t>(v) | 0x80);
         v >>= 7;
-      } while (v != 0);
-      return;
+      }
+      u8(static_cast<std::uint8_t>(v));
+    } else {
+      // One byte per started 7 bits, with no branch on the value: for the
+      // highest set bit h in [0, 63], ceil((h + 1) / 7) == (h * 9 + 73) / 64.
+      const auto h = static_cast<unsigned>(63 ^ std::countl_zero(v | 1));
+      out_ += (h * 9 + 73) / 64;
     }
-    while (v >= 0x80) {
-      u8(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    u8(static_cast<std::uint8_t>(v));
   }
 
   /// Presence byte + payload.
@@ -125,10 +110,12 @@ class Writer {
   }
 
   void bytes_raw(const void* data, std::size_t len) {
-    n_ += len;
-    if (count_only_) return;
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    out_.insert(out_.end(), p, p + len);
+    if constexpr (kStore) {
+      const auto* p = static_cast<const std::uint8_t*>(data);
+      out_.insert(out_.end(), p, p + len);
+    } else {
+      out_ += len;
+    }
   }
 
   void str(const std::string& s) {
@@ -137,10 +124,19 @@ class Writer {
   }
 
  private:
-  std::vector<std::uint8_t> out_;
-  std::size_t n_ = 0;
-  bool count_only_ = false;
+  /// The low `n` bytes of `v`, least significant first.
+  void fixed(std::uint64_t v, std::size_t n) {
+    std::uint8_t b[8];
+    for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    bytes_raw(b, n);
+  }
+
+  /// The bytes (Writer) or their count (Sizer).
+  std::conditional_t<kStore, std::vector<std::uint8_t>, std::size_t> out_{};
 };
+
+using Writer = BasicWriter<true>;
+using Sizer = BasicWriter<false>;
 
 class Reader {
  public:
@@ -240,30 +236,49 @@ class Reader {
 
 // ---- codec registry ---------------------------------------------------------
 
-/// One entry in the per-Kind registry. A codec may serve several kinds (e.g.
-/// request/reply variants share functions and dispatch on the tag).
+/// One entry in the per-Kind registry, filled by register_codec(). A codec
+/// may serve several kinds (e.g. request/reply variants share functions and
+/// dispatch on the tag).
 struct Codec {
-  /// Writes the body — everything after the kind tag. Must succeed for any
-  /// instance of the registered type (encode is total on valid messages).
+  /// Writes the body — everything after the kind tag. Total on valid
+  /// messages of the registered type.
   void (*encode_body)(const Message& m, Writer& w);
+
+  /// Counts the bytes encode_body would write: the same put, run into a
+  /// Sizer. This sits on the per-send accounting path and never allocates.
+  std::size_t (*count_body)(const Message& m);
 
   /// Parses the body (tag already consumed). Returns nullptr on malformed
   /// input; must never read out of bounds (use the bounded Reader).
   MessagePtr (*decode_body)(Reader& r, Kind kind);
-
-  /// Optional exact body size (bytes after the tag). When set, sizing skips
-  /// the counting encode — this sits on the per-send accounting hot path.
-  /// MUST agree with encode_body for every message; the round-trip property
-  /// test (cached size == encoded length, randomized, every kind) enforces
-  /// it. nullptr falls back to a counting encode, which is always correct.
-  std::size_t (*size_body)(const Message& m) = nullptr;
 };
 
-/// Registers `codec` for `kind`, replacing any previous registration.
+namespace detail {
+/// Stores `codec` for `kind`. Only register_codec() calls it, so every
+/// sizer is generated from its encoder's put.
+void install_codec(Kind kind, const Codec& codec);
+}  // namespace detail
+
+/// Registers the codec for `kind`, replacing any previous registration.
+/// `put` is a captureless lambda `[](const Message& m, auto& w) {...}` that
+/// writes the body into either sink; `get` parses it back. The encoder runs
+/// `put` into a Writer and the sizer runs it into a Sizer, so a frame is
+/// laid out in one place and its size always equals its length.
 /// Not thread-safe: register before spawning trial workers (test/bench
 /// registrations happen at static-init or in main; builtin protocol codecs
-/// are installed once, lazily, under a std::once_flag).
-void register_codec(Kind kind, const Codec& codec);
+/// are installed once, lazily, on first use of the driver).
+template <class Put>
+void register_codec(Kind kind, Put /*put*/, MessagePtr (*get)(Reader&, Kind)) {
+  Codec c{};
+  c.encode_body = [](const Message& m, Writer& w) { Put{}(m, w); };
+  c.count_body = [](const Message& m) {
+    Sizer s;
+    Put{}(m, s);
+    return s.size();
+  };
+  c.decode_body = get;
+  detail::install_codec(kind, c);
+}
 
 /// The codec registered for `kind`; nullptr when none. Ensures the builtin
 /// protocol codecs are installed.
@@ -285,8 +300,8 @@ bool encode(const Message& m, Writer& w);
 /// Convenience: encode into a fresh byte vector (empty on failure).
 std::vector<std::uint8_t> encode(const Message& m);
 
-/// Exact frame size of `m` via a counting encode; 0 when no codec is
-/// registered. Does not allocate.
+/// Exact frame size of `m`: its codec's put run into a Sizer; 0 when no
+/// codec is registered. Does not allocate.
 std::size_t encoded_size(const Message& m);
 
 /// Parses one frame; nullptr when the input is malformed, the kind is

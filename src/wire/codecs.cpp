@@ -7,14 +7,17 @@
 namespace ares::wire {
 namespace {
 
-// The registry dispatches on Message::kind() before calling encode_body, so
-// the static_casts below are guarded by each type's kind() override.
+// The registry dispatches on Message::kind() before calling a codec, so the
+// static_casts below are guarded by each type's kind() override. Every put is
+// generic over its sink (Writer or Sizer, runtime/wire.h): the one layout
+// both encodes and sizes a frame.
 
 // ---- field codecs ---------------------------------------------------------
 
 // A point travels as a varint count and that many fixed-width u64 values.
 
-void put_point(Writer& w, const Point& p) {
+template <class W>
+void put_point(W& w, const Point& p) {
   w.varint(p.size());
   for (AttrValue v : p) w.u64(v);
 }
@@ -29,7 +32,8 @@ bool get_point(Reader& r, Point& p) {
   return r.ok();
 }
 
-void put_descriptor(Writer& w, const PeerDescriptor& d) {
+template <class W>
+void put_descriptor(W& w, const PeerDescriptor& d) {
   w.u32(d.id);
   w.u32(d.age);
   put_point(w, d.values);
@@ -41,7 +45,8 @@ bool get_descriptor(Reader& r, PeerDescriptor& d) {
   return get_point(r, d.values) && r.ok();
 }
 
-void put_query(Writer& w, const RangeQuery& q) {
+template <class W>
+void put_query(W& w, const RangeQuery& q) {
   w.varint(static_cast<std::uint64_t>(q.dimensions()));
   for (int d = 0; d < q.dimensions(); ++d) {
     w.opt_u64(q.range(d).lo);
@@ -78,7 +83,8 @@ bool get_query(Reader& r, RangeQuery& q) {
   return r.ok();
 }
 
-void put_record(Writer& w, const MatchRecord& m) {
+template <class W>
+void put_record(W& w, const MatchRecord& m) {
   w.u32(m.id);
   put_point(w, m.values);
 }
@@ -88,7 +94,8 @@ bool get_record(Reader& r, MatchRecord& m) {
   return get_point(r, m.values) && r.ok();
 }
 
-void put_resource(Writer& w, const ResourceRecord& rec) {
+template <class W>
+void put_resource(W& w, const ResourceRecord& rec) {
   w.u32(rec.node);
   put_point(w, rec.values);
 }
@@ -98,65 +105,20 @@ bool get_resource(Reader& r, ResourceRecord& rec) {
   return get_point(r, rec.values) && r.ok();
 }
 
-// ---- field sizes ----------------------------------------------------------
-//
-// Exact byte counts mirroring the put_* functions above, used for the
-// Codec::size_body fast path (per-send traffic accounting). Any divergence
-// from the encoders is caught by the round-trip property test, which
-// asserts size == encoded length on randomized messages of every kind.
-
-std::size_t varint_len(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-std::size_t opt_len(const std::optional<std::uint64_t>& v) {
-  return v.has_value() ? 1 + varint_len(*v) : 1;
-}
-
-std::size_t point_size(const Point& p) {
-  return varint_len(p.size()) + 8 * p.size();
-}
-
-std::size_t descriptor_size(const PeerDescriptor& d) {
-  return 8 + point_size(d.values);
-}
-
 // The paper's plain descriptor-list layout: a count, then every descriptor
 // in full, each with its level-0 cell coordinates (a varint count and one
-// u32 per dimension) after its values. Never encoded: it is the yardstick
-// the §6 budget of ~2,560 B/node/cycle is stated in (see
+// u32 per dimension) after its values. Never encoded, only counted: it is
+// the yardstick the §6 budget of ~2,560 B/node/cycle is stated in (see
 // paper_layout_savings()).
 std::size_t plain_descriptors_size(const std::vector<PeerDescriptor>& v) {
-  std::size_t n = varint_len(v.size());
+  Sizer s;
+  s.varint(v.size());
   for (const auto& d : v) {
-    const std::size_t dims = d.values.size();
-    n += descriptor_size(d) + varint_len(dims) + 4 * dims;
+    put_descriptor(s, d);
+    s.varint(d.values.size());
+    for (std::size_t i = 0; i < d.values.size(); ++i) s.u32(0);  // cell index
   }
-  return n;
-}
-
-std::size_t query_size(const RangeQuery& q) {
-  std::size_t n = varint_len(static_cast<std::uint64_t>(q.dimensions()));
-  for (int d = 0; d < q.dimensions(); ++d)
-    n += opt_len(q.range(d).lo) + opt_len(q.range(d).hi);
-  const auto& filters = q.dynamic_filters();
-  n += varint_len(filters.size());
-  for (const auto& f : filters)
-    n += varint_len(f.index) + opt_len(f.range.lo) + opt_len(f.range.hi);
-  return n;
-}
-
-std::size_t record_size(const MatchRecord& m) {
-  return 4 + point_size(m.values);
-}
-
-std::size_t resource_size(const ResourceRecord& r) {
-  return 4 + point_size(r.values);
+  return s.size();
 }
 
 // ---- per-kind codecs ------------------------------------------------------
@@ -220,8 +182,8 @@ bool delta_encodable(const PeerDescriptor& ref, const PeerDescriptor& d) {
   return d.values.size() == ref.values.size();
 }
 
-void put_delta_entry(Writer& w, const PeerDescriptor& ref,
-                     const PeerDescriptor& d) {
+template <class W>
+void put_delta_entry(W& w, const PeerDescriptor& ref, const PeerDescriptor& d) {
   if (!delta_encodable(ref, d)) {
     w.u8(kFullEntry);
     put_descriptor(w, d);
@@ -237,24 +199,6 @@ void put_delta_entry(Writer& w, const PeerDescriptor& ref,
   for (std::size_t i = 0; i < d.values.size(); ++i)
     if (vbits & (std::uint64_t{1} << i))
       w.varint(zigzag(wrap_diff_u64(ref.values[i], d.values[i])));
-}
-
-// One pass per entry: the bitmap and the varints it selects are counted
-// together (this sits on the per-send sizing path).
-std::size_t delta_entry_size(const PeerDescriptor& ref,
-                             const PeerDescriptor& d) {
-  if (!delta_encodable(ref, d)) return 1 + descriptor_size(d);
-  std::size_t n = 1;
-  n += varint_len(zigzag(wrap_diff_u32(ref.id, d.id)));
-  n += varint_len(zigzag(wrap_diff_u32(ref.age, d.age)));
-  std::uint64_t vbits = 0;
-  for (std::size_t i = 0; i < d.values.size(); ++i) {
-    if (d.values[i] == ref.values[i]) continue;
-    vbits |= std::uint64_t{1} << i;
-    n += varint_len(zigzag(wrap_diff_u64(ref.values[i], d.values[i])));
-  }
-  n += varint_len(vbits);
-  return n;
 }
 
 bool get_delta_entry(Reader& r, const PeerDescriptor& ref,
@@ -279,19 +223,12 @@ bool get_delta_entry(Reader& r, const PeerDescriptor& ref,
   return r.ok();
 }
 
-void put_delta_descriptors(Writer& w, const std::vector<PeerDescriptor>& v) {
+template <class W>
+void put_delta_descriptors(W& w, const std::vector<PeerDescriptor>& v) {
   w.varint(v.size());
   if (v.empty()) return;
   put_descriptor(w, v[0]);  // the reference travels in full
   for (std::size_t i = 1; i < v.size(); ++i) put_delta_entry(w, v[0], v[i]);
-}
-
-std::size_t delta_descriptors_size(const std::vector<PeerDescriptor>& v) {
-  std::size_t n = varint_len(v.size());
-  if (v.empty()) return n;
-  n += descriptor_size(v[0]);
-  for (std::size_t i = 1; i < v.size(); ++i) n += delta_entry_size(v[0], v[i]);
-  return n;
 }
 
 bool get_delta_descriptors(Reader& r, std::vector<PeerDescriptor>& v) {
@@ -305,13 +242,9 @@ bool get_delta_descriptors(Reader& r, std::vector<PeerDescriptor>& v) {
   return true;
 }
 
-void encode_gossip(const Message& m, Writer& w) {
+constexpr auto encode_gossip = [](const Message& m, auto& w) {
   put_delta_descriptors(w, gossip_entries(m));
-}
-
-std::size_t size_gossip(const Message& m) {
-  return delta_descriptors_size(gossip_entries(m));
-}
+};
 
 MessagePtr decode_gossip(Reader& r, Kind kind) {
   if (kind == Kind::kCyclonRequest || kind == Kind::kCyclonReply) {
@@ -326,7 +259,7 @@ MessagePtr decode_gossip(Reader& r, Kind kind) {
   return m;
 }
 
-void encode_query(const Message& m, Writer& w) {
+constexpr auto encode_query = [](const Message& m, auto& w) {
   const auto& q = static_cast<const QueryMsg&>(m);
   w.u64(q.id);
   w.u32(q.reply_to);
@@ -336,12 +269,7 @@ void encode_query(const Message& m, Writer& w) {
   w.u8(static_cast<std::uint8_t>(q.level + 1));
   w.u32(q.dims_mask);
   put_query(w, q.query);
-}
-
-std::size_t size_query(const Message& m) {
-  const auto& q = static_cast<const QueryMsg&>(m);
-  return 8 + 4 + 4 + 4 + 1 + 4 + query_size(q.query);
-}
+};
 
 MessagePtr decode_query(Reader& r, Kind) {
   auto m = std::make_unique<QueryMsg>();
@@ -375,7 +303,7 @@ std::uint64_t id_gap(std::uint64_t next, NodeId id) {
   return std::uint64_t{id} + 1 - next;
 }
 
-void encode_reply(const Message& m, Writer& w) {
+constexpr auto encode_reply = [](const Message& m, auto& w) {
   const auto& rp = static_cast<const ReplyMsg&>(m);
   w.u64(rp.id);
   w.u8(rp.complete ? 1 : 0);
@@ -390,22 +318,7 @@ void encode_reply(const Message& m, Writer& w) {
     next = std::uint64_t{rec.id} + 1;
     for (std::size_t i = 0; i < d; ++i) w.varint(rec.values[i]);
   }
-}
-
-std::size_t size_reply(const Message& m) {
-  const auto& rp = static_cast<const ReplyMsg&>(m);
-  std::size_t n = 8 + 1 + varint_len(rp.matching.size());
-  if (rp.matching.empty()) return n;
-  const std::size_t d = rp.matching.front().values.size();
-  n += varint_len(d);
-  std::uint64_t next = 0;
-  for (const auto& rec : rp.matching) {
-    n += varint_len(id_gap(next, rec.id));
-    next = std::uint64_t{rec.id} + 1;
-    for (std::size_t i = 0; i < d; ++i) n += varint_len(rec.values[i]);
-  }
-  return n;
-}
+};
 
 MessagePtr decode_reply(Reader& r, Kind) {
   auto m = std::make_unique<ReplyMsg>();
@@ -436,9 +349,9 @@ MessagePtr decode_reply(Reader& r, Kind) {
   return m;
 }
 
-void encode_progress(const Message& m, Writer& w) {
+constexpr auto encode_progress = [](const Message& m, auto& w) {
   w.u64(static_cast<const ProgressMsg&>(m).id);
-}
+};
 
 MessagePtr decode_progress(Reader& r, Kind) {
   auto m = std::make_unique<ProgressMsg>();
@@ -446,9 +359,7 @@ MessagePtr decode_progress(Reader& r, Kind) {
   return m;
 }
 
-std::size_t size_progress(const Message&) { return 8; }
-
-void encode_dht(const Message& m, Writer& w) {
+constexpr auto encode_dht = [](const Message& m, auto& w) {
   switch (m.kind()) {
     case Kind::kDhtPut: {
       const auto& p = static_cast<const DhtPutMsg&>(m);
@@ -472,22 +383,7 @@ void encode_dht(const Message& m, Writer& w) {
       return;
     }
   }
-}
-
-std::size_t size_dht(const Message& m) {
-  switch (m.kind()) {
-    case Kind::kDhtPut:
-      return 8 + resource_size(static_cast<const DhtPutMsg&>(m).record);
-    case Kind::kDhtGet:
-      return 8 + 4 + 8;
-    default: {
-      const auto& recs = static_cast<const DhtRecordsMsg&>(m);
-      std::size_t n = 8 + 8 + varint_len(recs.records.size());
-      for (const auto& rec : recs.records) n += resource_size(rec);
-      return n;
-    }
-  }
-}
+};
 
 MessagePtr decode_dht(Reader& r, Kind kind) {
   switch (kind) {
@@ -518,19 +414,13 @@ MessagePtr decode_dht(Reader& r, Kind kind) {
   }
 }
 
-void encode_flood_query(const Message& m, Writer& w) {
+constexpr auto encode_flood_query = [](const Message& m, auto& w) {
   const auto& f = static_cast<const FloodQueryMsg&>(m);
   w.u64(f.id);
   w.u32(f.origin);
   w.varint(static_cast<std::uint32_t>(std::max(f.ttl, 0)));
   put_query(w, f.query);
-}
-
-std::size_t size_flood_query(const Message& m) {
-  const auto& f = static_cast<const FloodQueryMsg&>(m);
-  return 8 + 4 + varint_len(static_cast<std::uint32_t>(std::max(f.ttl, 0))) +
-         query_size(f.query);
-}
+};
 
 MessagePtr decode_flood_query(Reader& r, Kind) {
   auto m = std::make_unique<FloodQueryMsg>();
@@ -543,15 +433,11 @@ MessagePtr decode_flood_query(Reader& r, Kind) {
   return m;
 }
 
-void encode_flood_hit(const Message& m, Writer& w) {
+constexpr auto encode_flood_hit = [](const Message& m, auto& w) {
   const auto& f = static_cast<const FloodHitMsg&>(m);
   w.u64(f.id);
   put_record(w, f.match);
-}
-
-std::size_t size_flood_hit(const Message& m) {
-  return 8 + record_size(static_cast<const FloodHitMsg&>(m).match);
-}
+};
 
 MessagePtr decode_flood_hit(Reader& r, Kind) {
   auto m = std::make_unique<FloodHitMsg>();
@@ -560,14 +446,12 @@ MessagePtr decode_flood_hit(Reader& r, Kind) {
   return m;
 }
 
-void encode_slice(const Message& m, Writer& w) {
+constexpr auto encode_slice = [](const Message& m, auto& w) {
   const auto& s = static_cast<const SliceExchangeMsg&>(m);
   w.f64(s.attribute);
   w.f64(s.slice_value);
   w.u8(s.swapped ? 1 : 0);
-}
-
-std::size_t size_slice(const Message&) { return 8 + 8 + 1; }
+};
 
 MessagePtr decode_slice(Reader& r, Kind kind) {
   auto m = std::make_unique<SliceExchangeMsg>();
@@ -585,26 +469,20 @@ MessagePtr decode_slice(Reader& r, Kind kind) {
 namespace detail {
 
 void register_builtin_codecs() {
-  const Codec gossip{encode_gossip, decode_gossip, size_gossip};
-  register_codec(Kind::kCyclonRequest, gossip);
-  register_codec(Kind::kCyclonReply, gossip);
-  register_codec(Kind::kVicinityRequest, gossip);
-  register_codec(Kind::kVicinityReply, gossip);
-  register_codec(Kind::kQuery, {encode_query, decode_query, size_query});
-  register_codec(Kind::kReply, {encode_reply, decode_reply, size_reply});
-  register_codec(Kind::kProgress,
-                 {encode_progress, decode_progress, size_progress});
-  const Codec dht{encode_dht, decode_dht, size_dht};
-  register_codec(Kind::kDhtPut, dht);
-  register_codec(Kind::kDhtGet, dht);
-  register_codec(Kind::kDhtRecords, dht);
-  register_codec(Kind::kFloodQuery,
-                 {encode_flood_query, decode_flood_query, size_flood_query});
-  register_codec(Kind::kFloodHit,
-                 {encode_flood_hit, decode_flood_hit, size_flood_hit});
-  const Codec slice{encode_slice, decode_slice, size_slice};
-  register_codec(Kind::kSliceRequest, slice);
-  register_codec(Kind::kSliceReply, slice);
+  register_codec(Kind::kCyclonRequest, encode_gossip, decode_gossip);
+  register_codec(Kind::kCyclonReply, encode_gossip, decode_gossip);
+  register_codec(Kind::kVicinityRequest, encode_gossip, decode_gossip);
+  register_codec(Kind::kVicinityReply, encode_gossip, decode_gossip);
+  register_codec(Kind::kQuery, encode_query, decode_query);
+  register_codec(Kind::kReply, encode_reply, decode_reply);
+  register_codec(Kind::kProgress, encode_progress, decode_progress);
+  register_codec(Kind::kDhtPut, encode_dht, decode_dht);
+  register_codec(Kind::kDhtGet, encode_dht, decode_dht);
+  register_codec(Kind::kDhtRecords, encode_dht, decode_dht);
+  register_codec(Kind::kFloodQuery, encode_flood_query, decode_flood_query);
+  register_codec(Kind::kFloodHit, encode_flood_hit, decode_flood_hit);
+  register_codec(Kind::kSliceRequest, encode_slice, decode_slice);
+  register_codec(Kind::kSliceReply, encode_slice, decode_slice);
 }
 
 }  // namespace detail

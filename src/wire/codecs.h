@@ -5,7 +5,9 @@
 /// implementations behind the runtime/wire.h frame driver. This header just
 /// aggregates the driver API and the message definitions for convenience
 /// (tests, tools); the codec bodies and their registration live in
-/// codecs.cpp (wire::detail::register_builtin_codecs()).
+/// codecs.cpp (wire::detail::register_builtin_codecs()). Each kind has one
+/// put, generic over Writer and Sizer, and one get: a frame's size is
+/// counted by the same code that writes it.
 ///
 /// The frame and field layout for each wire::Kind is specified in
 /// docs/PROTOCOL.md §"Wire format". decode() returns nullptr on any

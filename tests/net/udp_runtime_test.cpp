@@ -28,14 +28,12 @@ struct TextMsg final : Message {
 const bool kTextCodec = [] {
   wire::register_codec(
       kTextKind,
-      {[](const Message& m, wire::Writer& w) {
-         w.str(static_cast<const TextMsg&>(m).text);
-       },
-       [](wire::Reader& r, wire::Kind) -> MessagePtr {
-         auto text = r.str();
-         if (!r.ok()) return nullptr;
-         return std::make_unique<TextMsg>(std::move(text));
-       }});
+      [](const Message& m, auto& w) { w.str(static_cast<const TextMsg&>(m).text); },
+      [](wire::Reader& r, wire::Kind) -> MessagePtr {
+        auto text = r.str();
+        if (!r.ok()) return nullptr;
+        return std::make_unique<TextMsg>(std::move(text));
+      });
   return true;
 }();
 

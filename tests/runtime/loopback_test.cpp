@@ -24,14 +24,12 @@ struct TextMsg final : Message {
 const bool kTextCodec = [] {
   wire::register_codec(
       kTextKind,
-      {[](const Message& m, wire::Writer& w) {
-         w.str(static_cast<const TextMsg&>(m).text);
-       },
-       [](wire::Reader& r, wire::Kind) -> MessagePtr {
-         auto text = r.str();
-         if (!r.ok()) return nullptr;
-         return std::make_unique<TextMsg>(std::move(text));
-       }});
+      [](const Message& m, auto& w) { w.str(static_cast<const TextMsg&>(m).text); },
+      [](wire::Reader& r, wire::Kind) -> MessagePtr {
+        auto text = r.str();
+        if (!r.ok()) return nullptr;
+        return std::make_unique<TextMsg>(std::move(text));
+      });
   return true;
 }();
 
@@ -206,11 +204,8 @@ TEST(LoopbackRuntime, UndecodableFramesAreDroppedAndMetered) {
     wire::Kind kind() const override { return kBrokenKind; }
   };
   // A codec whose frames never parse back: encode succeeds, decode refuses.
-  wire::register_codec(kBrokenKind,
-                       {[](const Message&, wire::Writer& w) { w.u8(0); },
-                        [](wire::Reader&, wire::Kind) -> MessagePtr {
-                          return nullptr;
-                        }});
+  wire::register_codec(kBrokenKind, [](const Message&, auto& w) { w.u8(0); },
+                       [](wire::Reader&, wire::Kind) -> MessagePtr { return nullptr; });
   LoopbackRuntime rt;
   NodeId a = rt.add_node(std::make_unique<EchoNode>());
   NodeId b = rt.add_node(std::make_unique<EchoNode>());

@@ -21,14 +21,14 @@ struct PingMsg final : Message {
 const bool kPingCodec = [] {
   wire::register_codec(
       kPingKind,
-      {[](const Message& m, wire::Writer& w) {
-         w.u32(static_cast<std::uint32_t>(static_cast<const PingMsg&>(m).payload));
-       },
-       [](wire::Reader& r, wire::Kind) -> MessagePtr {
-         auto m = std::make_unique<PingMsg>();
-         m->payload = static_cast<int>(r.u32());
-         return r.ok() ? std::move(m) : nullptr;
-       }});
+      [](const Message& m, auto& w) {
+        w.u32(static_cast<std::uint32_t>(static_cast<const PingMsg&>(m).payload));
+      },
+      [](wire::Reader& r, wire::Kind) -> MessagePtr {
+        auto m = std::make_unique<PingMsg>();
+        m->payload = static_cast<int>(r.u32());
+        return r.ok() ? std::move(m) : nullptr;
+      });
   return true;
 }();
 
