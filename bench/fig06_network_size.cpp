@@ -83,8 +83,10 @@ int main() {
   // at the two large sweep points in the bench-smoke profile (one trial
   // thread; 8 shards at N=1M), once a node kept one copy of each fact (its
   // values and cell only in its store row, one shared config, per-node
-  // arrays sized once); the pre-store layout sat at ~23,000 bytes/node at
-  // N=100k. Lower them when a change shrinks a node; never raise them.
+  // arrays sized once) and counted each cache event once (no cache stats
+  // beside its Metrics counters); the pre-store layout sat at ~23,000
+  // bytes/node at N=100k. Lower them when a change shrinks a node; never
+  // raise them.
   // The gate only fires when the sweep ends
   // at a baselined size AND that point ran alone (ARES_MIN_N pinned to it,
   // the bench-smoke profile) — in a full sweep the small points' grids
@@ -93,7 +95,7 @@ int main() {
     std::size_t n;
     double bytes_per_node;
   };
-  constexpr RssBaseline kRssBaselines[] = {{100000, 1780.0}, {1000000, 2048.0}};
+  constexpr RssBaseline kRssBaselines[] = {{100000, 1716.0}, {1000000, 1984.0}};
   const std::size_t top_n = sizes.empty() ? 0 : sizes.back();
   const std::uint64_t peak_rss = exp::peak_rss_bytes();
   const double bytes_per_node =

@@ -88,17 +88,13 @@ bool fragment_covers(const FragmentKey& outer, const FragmentKey& inner) {
 const ResultCache::Entry* ResultCache::lookup(const FragmentKey& k) {
   if (!enabled()) return nullptr;
   auto it = index_.find(k.hash());
-  if (it == index_.end() || !(it->second->key == k)) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (it == index_.end() || !(it->second->key == k)) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
   return &lru_.front();
 }
 
-void ResultCache::insert(const FragmentKey& k, std::vector<MatchRecord> records) {
-  if (!enabled()) return;
+bool ResultCache::insert(const FragmentKey& k, std::vector<MatchRecord> records) {
+  if (!enabled()) return false;
   const std::uint64_t h = k.hash();
   auto it = index_.find(h);
   if (it != index_.end()) {
@@ -109,17 +105,16 @@ void ResultCache::insert(const FragmentKey& k, std::vector<MatchRecord> records)
     e.records = std::move(records);
     e.age = 0;
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.insertions;
-    return;
+    return false;
   }
-  if (lru_.size() >= capacity_) {
+  const bool evict = lru_.size() >= capacity_;
+  if (evict) {
     index_.erase(lru_.back().key.hash());
     lru_.pop_back();
-    ++stats_.evictions;
   }
   lru_.push_front(Entry{k, std::move(records), 0});
   index_.emplace(h, lru_.begin());
-  ++stats_.insertions;
+  return evict;
 }
 
 std::size_t ResultCache::memory_bytes() const {
@@ -133,16 +128,18 @@ std::size_t ResultCache::memory_bytes() const {
   return n;
 }
 
-void ResultCache::age_tick() {
+std::size_t ResultCache::age_tick() {
+  std::size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (++it->age > horizon_) {
       index_.erase(it->key.hash());
       it = lru_.erase(it);
-      ++stats_.stale_drops;
+      ++dropped;
     } else {
       ++it;
     }
   }
+  return dropped;
 }
 
 }  // namespace ares

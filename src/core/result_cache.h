@@ -26,7 +26,8 @@
 /// (SelectionNode::gossip_tick) and are dropped past a configured horizon,
 /// so churn-induced staleness is bounded by horizon x gossip_period. With
 /// gossip disabled entries never age — a static deployment cannot go stale.
-/// Staleness is metered (stats().stale_drops), never silent.
+/// Staleness is metered (age_tick() returns the drops; the node counts them
+/// as query.cache_stale), never silent.
 
 #include <cstdint>
 #include <list>
@@ -78,14 +79,6 @@ class ResultCache {
     std::uint32_t age = 0;  // gossip cycles since insertion
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;    // capacity pressure
-    std::uint64_t stale_drops = 0;  // aged past the horizon
-  };
-
   /// \param capacity max entries (0 disables the cache entirely)
   /// \param horizon entries older than this many age_tick()s are dropped
   ResultCache(std::size_t capacity, std::uint32_t horizon)
@@ -93,7 +86,6 @@ class ResultCache {
 
   bool enabled() const { return capacity_ > 0; }
   std::size_t size() const { return lru_.size(); }
-  const Stats& stats() const { return stats_; }
 
   /// The object plus the heap it owns: one LRU list node per entry with
   /// the records it holds, and the index (its bucket array, once it has
@@ -101,22 +93,23 @@ class ResultCache {
   std::size_t memory_bytes() const;
 
   /// Returns the cached fragment (refreshing its LRU position, not its age)
-  /// or nullptr. Counts a hit or miss.
+  /// or nullptr, which is a miss.
   const Entry* lookup(const FragmentKey& k);
 
   /// Stores a resolved fragment, replacing any entry with the same key (or
   /// colliding hash) and evicting the least-recently-used entry at capacity.
-  void insert(const FragmentKey& k, std::vector<MatchRecord> records);
+  /// Returns whether an entry was evicted.
+  bool insert(const FragmentKey& k, std::vector<MatchRecord> records);
 
-  /// Ages every entry by one gossip cycle; drops entries past the horizon.
-  void age_tick();
+  /// Ages every entry by one gossip cycle; drops entries past the horizon
+  /// and returns how many it dropped.
+  std::size_t age_tick();
 
  private:
   std::size_t capacity_;
   std::uint32_t horizon_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  Stats stats_;
 };
 
 }  // namespace ares

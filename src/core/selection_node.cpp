@@ -117,23 +117,8 @@ void SelectionNode::gossip_tick() {
   rt_->age_all();
   rt_->drop_older_than(cfg_.rt_max_age);
   refresh_routing();
-  if (cache_.enabled()) {
-    cache_.age_tick();
-    meter_cache();
-  }
+  if (cache_.enabled()) metrics().inc(id(), m_cache_stale_, cache_.age_tick());
   after(cfg_.gossip_period, [this] { gossip_tick(); });
-}
-
-/// Flushes the deltas of the cache's internal stats into per-node Metrics
-/// counters, so experiments aggregate cache behavior like any other metric.
-void SelectionNode::meter_cache() {
-  const ResultCache::Stats& s = cache_.stats();
-  metrics().inc(id(), m_cache_hits_, s.hits - cache_metered_.hits);
-  metrics().inc(id(), m_cache_misses_, s.misses - cache_metered_.misses);
-  metrics().inc(id(), m_cache_inserts_, s.insertions - cache_metered_.insertions);
-  metrics().inc(id(), m_cache_evictions_, s.evictions - cache_metered_.evictions);
-  metrics().inc(id(), m_cache_stale_, s.stale_drops - cache_metered_.stale_drops);
-  cache_metered_ = s;
 }
 
 void SelectionNode::refresh_routing() {
@@ -352,8 +337,8 @@ void SelectionNode::continue_query(QueryState& st) {
                 cache_.lookup(make_fragment_key(space(), subcell, q.query))) {
           // A fresh complete fragment with exactly this (subcell, clamped
           // ranges) identity: the whole branch resolves locally.
+          metrics().inc(id(), m_cache_hits_);
           merge_records(st.matching, e->records);
-          meter_cache();
           q.dims_mask &= ~bit;
           if (st.matching.size() >= q.sigma) {
             // Sigma satisfied without messaging — same early cutoff a child
@@ -364,7 +349,7 @@ void SelectionNode::continue_query(QueryState& st) {
           }
           continue;  // branch done; keep scanning this level
         }
-        meter_cache();
+        metrics().inc(id(), m_cache_misses_);
       }
       const CompactPeer* n =
           cfg_.query_aware_forwarding
@@ -500,8 +485,9 @@ void SelectionNode::handle_reply(NodeId from, const ReplyMsg& r) {
       // it under their own keys when it fans out.)
       const Region subcell =
           cells_.neighbor_region(own_cell(), w->second.level, w->second.dim);
-      cache_.insert(make_fragment_key(space(), subcell, st.msg.query), r.matching);
-      meter_cache();
+      metrics().inc(id(), m_cache_inserts_);
+      if (cache_.insert(make_fragment_key(space(), subcell, st.msg.query), r.matching))
+        metrics().inc(id(), m_cache_evictions_);
     }
     st.waiting.erase(w);
   }
@@ -547,8 +533,9 @@ void SelectionNode::finish(QueryState& st) {
         // filtered records are exactly the rider's fragment. The cache keeps
         // it for many queries: drop the slack the filter left first.
         own.shrink_to_fit();
-        cache_.insert(rider.key, std::move(own));
-        meter_cache();
+        metrics().inc(id(), m_cache_inserts_);
+        if (cache_.insert(rider.key, std::move(own)))
+          metrics().inc(id(), m_cache_evictions_);
       }
       resume(rs);
     }

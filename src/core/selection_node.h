@@ -151,7 +151,6 @@ class SelectionNode final : public Node {
   PeerDescriptor descriptor() const;
   /// In-flight query states, open shared traversals included.
   std::size_t active_queries() const { return active_.size(); }
-  const ResultCache& result_cache() const { return cache_; }
   /// Open shared traversals.
   std::size_t shared_branches() const { return shared_.size(); }
 
@@ -237,7 +236,6 @@ class SelectionNode final : public Node {
   void finish(QueryState& st);
   void share(QueryState& st, int level, int k, const Region& subcell, NodeId to);
   void resume(QueryState& st);
-  void meter_cache();
   void gossip_tick();
   /// Offers the table every entry of both gossip views (the gossip tick).
   void refresh_routing();
@@ -268,7 +266,6 @@ class SelectionNode final : public Node {
   std::uint64_t next_dispatch_seq_ = 0;
 
   ResultCache cache_;
-  ResultCache::Stats cache_metered_;  // already flushed into Metrics
   // Riders of the open shared traversals, by synthetic QueryId (the
   // traversal itself is the root QueryState under that id), opener first.
   // Flat map: attach scans for a covering key in ascending id order.

@@ -44,19 +44,6 @@ std::vector<NodeId> sorted_ids(const std::vector<MatchRecord>& ms) {
   return ids;
 }
 
-ResultCache::Stats cache_totals(Grid& grid) {
-  ResultCache::Stats sum;
-  for (NodeId id : grid.node_ids()) {
-    const auto& s = grid.node(id).result_cache().stats();
-    sum.hits += s.hits;
-    sum.misses += s.misses;
-    sum.insertions += s.insertions;
-    sum.evictions += s.evictions;
-    sum.stale_drops += s.stale_drops;
-  }
-  return sum;
-}
-
 TEST(ResultCacheProperty, StaticDeploymentMatchesGroundTruthExactly) {
   auto cfg = serving_config(300, 7);
   cfg.protocol.result_cache_capacity = 64;
@@ -72,11 +59,11 @@ TEST(ResultCacheProperty, StaticDeploymentMatchesGroundTruthExactly) {
           << "pass " << pass << ": cached fragments changed a result";
     }
   }
-  auto totals = cache_totals(grid);
-  EXPECT_GT(totals.insertions, 0u);
-  EXPECT_GT(totals.hits, 0u) << "repeat passes never hit the cache";
+  const Metrics& metrics = grid.net().metrics();
+  EXPECT_GT(metrics.total("query.cache_insert"), 0u);
+  EXPECT_GT(metrics.total("query.cache_hit"), 0u) << "repeat passes never hit the cache";
   // Static network, gossip disabled: staleness machinery must stay silent.
-  EXPECT_EQ(totals.stale_drops, 0u);
+  EXPECT_EQ(metrics.total("query.cache_stale"), 0u);
 }
 
 TEST(ResultCacheProperty, CacheOnAndOffReturnIdenticalResults) {
@@ -187,11 +174,11 @@ TEST(ResultCacheProperty, ChurnStalenessIsBoundedToLivenessAndMetered) {
     }
   }
   EXPECT_GT(completed, pool.size());
-  auto totals = cache_totals(grid);
-  EXPECT_GT(totals.insertions, 0u);
+  const Metrics& metrics = grid.net().metrics();
+  EXPECT_GT(metrics.total("query.cache_insert"), 0u);
   // Metered, never silent: with gossip on and a 2-cycle horizon, entries
   // must have been aged out during the run.
-  EXPECT_GT(totals.stale_drops, 0u);
+  EXPECT_GT(metrics.total("query.cache_stale"), 0u);
 }
 
 TEST(CoalesceProperty, SharedTraversalsAreInvisibleInResults) {

@@ -99,24 +99,23 @@ TEST(ResultCache, ZeroCapacityDisablesEverything) {
   ResultCache cache(0, 8);
   EXPECT_FALSE(cache.enabled());
   auto space = test_space();
-  cache.insert(key_at(space, 1), {rec(1)});
+  EXPECT_FALSE(cache.insert(key_at(space, 1), {rec(1)}));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.lookup(key_at(space, 1)), nullptr);
-  EXPECT_EQ(cache.stats().misses, 0u);  // disabled: not even a metered miss
+  EXPECT_EQ(cache.age_tick(), 0u);
 }
 
 TEST(ResultCache, HitMissAndReplacement) {
   auto space = test_space();
   ResultCache cache(4, 8);
-  EXPECT_EQ(cache.lookup(key_at(space, 1)), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  cache.insert(key_at(space, 1), {rec(10), rec(11)});
+  EXPECT_EQ(cache.lookup(key_at(space, 1)), nullptr);  // a miss
+  EXPECT_FALSE(cache.insert(key_at(space, 1), {rec(10), rec(11)}));
   const auto* e = cache.lookup(key_at(space, 1));
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->records.size(), 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  // Re-inserting the same key replaces records and resets age.
-  cache.insert(key_at(space, 1), {rec(12)});
+  // Re-inserting the same key replaces records and resets age; it evicts
+  // nothing.
+  EXPECT_FALSE(cache.insert(key_at(space, 1), {rec(12)}));
   EXPECT_EQ(cache.size(), 1u);
   e = cache.lookup(key_at(space, 1));
   ASSERT_NE(e, nullptr);
@@ -127,12 +126,11 @@ TEST(ResultCache, HitMissAndReplacement) {
 TEST(ResultCache, LruEvictionPrefersStaleEntries) {
   auto space = test_space();
   ResultCache cache(2, 8);
-  cache.insert(key_at(space, 1), {rec(1)});
-  cache.insert(key_at(space, 2), {rec(2)});
+  EXPECT_FALSE(cache.insert(key_at(space, 1), {rec(1)}));
+  EXPECT_FALSE(cache.insert(key_at(space, 2), {rec(2)}));
   // Touch 1 so 2 becomes least-recently-used.
   EXPECT_NE(cache.lookup(key_at(space, 1)), nullptr);
-  cache.insert(key_at(space, 3), {rec(3)});
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(cache.insert(key_at(space, 3), {rec(3)}));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_NE(cache.lookup(key_at(space, 1)), nullptr);
   EXPECT_EQ(cache.lookup(key_at(space, 2)), nullptr);  // evicted
@@ -143,13 +141,12 @@ TEST(ResultCache, AgeTickDropsPastHorizonButLookupDoesNotRefreshAge) {
   auto space = test_space();
   ResultCache cache(4, 2);
   cache.insert(key_at(space, 1), {rec(1)});
-  cache.age_tick();
-  cache.age_tick();
+  EXPECT_EQ(cache.age_tick(), 0u);
+  EXPECT_EQ(cache.age_tick(), 0u);
   // Age 2 == horizon: still alive; an LRU touch must not reset the age.
   ASSERT_NE(cache.lookup(key_at(space, 1)), nullptr);
   EXPECT_EQ(cache.lookup(key_at(space, 1))->age, 2u);
-  cache.age_tick();
-  EXPECT_EQ(cache.stats().stale_drops, 1u);
+  EXPECT_EQ(cache.age_tick(), 1u);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.lookup(key_at(space, 1)), nullptr);
 }
@@ -184,8 +181,7 @@ TEST(ResultCache, MemoryBytesCountEntriesAndTheirRecords) {
   cache.insert(key_at(space, 2), records(3));
   EXPECT_EQ(cache.memory_bytes(), empty + 2 * entry + 3 * sizeof(MatchRecord));
   // Capacity pressure evicts key 1: its entry goes as the newcomer's comes.
-  cache.insert(key_at(space, 3), records(5));
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(cache.insert(key_at(space, 3), records(5)));
   EXPECT_EQ(cache.memory_bytes(), empty + 2 * entry + 8 * sizeof(MatchRecord));
   // A replaced fragment counts its new records only.
   cache.insert(key_at(space, 3), records(1));
